@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from typing import Iterable, Iterator, Sequence, TypeVar
 
@@ -82,3 +83,43 @@ def stable_unique(items: Iterable[T]) -> list[T]:
             seen.add(item)
             out.append(item)
     return out
+
+
+def usable_cpus() -> int:
+    """CPUs this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # non-Linux
+        return os.cpu_count() or 1
+
+
+def git_sha() -> str | None:
+    """``HEAD`` of the git checkout this package runs from; ``None``
+    outside a checkout or without a ``git`` binary."""
+    import subprocess
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        out = subprocess.run(
+            ["git", "-C", here, "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None
+
+
+def host_meta() -> dict:
+    """The host fields both BENCH files record in their ``meta`` block:
+    Python version, machine, usable CPUs and git sha."""
+    import platform
+
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": usable_cpus(),
+        "git_sha": git_sha(),
+    }

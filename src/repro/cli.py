@@ -175,10 +175,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="attach the runtime sanitizers (lock-order monitor "
                         "+ Eraser-style lockset race detector) to the plane; "
                         "exit nonzero on any observed race or order cycle")
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="run the fleet across N worker processes behind "
-                        "the consistent-hashing front door (default 1 = "
-                        "the in-process plane)")
 
     p = sub.add_parser(
         "trace",
@@ -224,11 +220,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-dir", default=None, metavar="DIR",
                    help="[service] write flight-recorder dumps here when "
                         "the load run raises anomalies")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="[service] also bench a 1-shard vs N-shard "
-                        "sharded deployment (adds shard-1/shard-N rows; "
-                        "the smoke gate then checks witness sharing and "
-                        "the shard latency/throughput comparison)")
 
     p = sub.add_parser(
         "lint",
@@ -442,14 +433,7 @@ def _cmd_bench_service(args) -> int:
         service_smoke_regressions,
     )
 
-    if args.shards is not None and args.shards < 2:
-        raise ReproError("--shards must be >= 2 in bench mode")
     print("replaying service load (cold store, then warm) ...", file=sys.stderr)
-    if args.shards:
-        print(
-            f"then comparing 1-shard vs {args.shards}-shard deployments ...",
-            file=sys.stderr,
-        )
     payload = run_service_bench(
         smoke=args.smoke,
         events=args.events,
@@ -459,7 +443,6 @@ def _cmd_bench_service(args) -> int:
         profile=args.profile,
         store_path=args.store,
         dump_dir=args.dump_dir,
-        shards=args.shards,
     )
     print(format_service_table(payload))
     out = "BENCH_service.json" if args.out == "BENCH_verify.json" else args.out
@@ -472,16 +455,10 @@ def _cmd_bench_service(args) -> int:
             print(f"regression: {line}", file=sys.stderr)
         if regressions:
             return 1
-        gate = (
+        print(
             "smoke gate: warm start loaded, no validation failures, "
             "warm p95 query latency within 10% of cold"
         )
-        if args.shards:
-            gate += (
-                "; shards shared witnesses through the store and the "
-                "N-shard latency/throughput comparison held"
-            )
-        print(gate)
     return 0
 
 
@@ -514,10 +491,6 @@ def cmd_serve(args) -> int:
         raise ReproError("--cache-size must be >= 1")
     if args.max_pending < 1:
         raise ReproError("--max-pending must be >= 1")
-    if args.shards < 1:
-        raise ReproError("--shards must be >= 1")
-    if args.shards > 1:
-        return _cmd_serve_sharded(args)
     tracing = args.trace or args.trace_out is not None or args.trace_dump_dir is not None
 
     sanitizers: dict = {}
@@ -630,77 +603,6 @@ def cmd_serve(args) -> int:
             print(f"  lockset mismatch: {mismatch}", file=sys.stderr)
         sanitizer_ok = not races and cycle is None and not mismatches
     return 0 if report.ok and sanitizer_ok else 1
-
-
-def _cmd_serve_sharded(args) -> int:
-    from .service import ControlPlaneConfig, random_trace, run_trace
-    from .service.frontdoor import ShardedControlPlane
-    from .service.trace import demo_ring_network
-
-    for flag, name in [
-        (args.race_detect, "--race-detect"),
-        (args.metrics_port, "--metrics-port"),
-    ]:
-        if flag:
-            raise ReproError(
-                f"{name} instruments the in-process plane and cannot "
-                f"reach shard worker processes; drop it or use --shards 1"
-            )
-    tracing = args.trace or args.trace_out is not None
-    config = ControlPlaneConfig(
-        workers=args.workers,
-        cache_capacity=args.cache_size,
-        deadline=args.deadline,
-        max_pending=args.max_pending,
-        tracing=tracing,
-    )
-    with ShardedControlPlane(args.shards, config) as plane:
-        if args.demo or not args.network:
-            plane.register("video-a", n=9, k=2)
-            plane.register("video-b", n=9, k=2)
-            plane.register("ct", n=13, k=2)
-            plane.register("lz", n=6, k=2)
-            plane.register("ring", demo_ring_network(8))
-        else:
-            for i, spec in enumerate(args.network):
-                try:
-                    n_s, k_s = spec.lower().split("x", 1)
-                    n, k = int(n_s), int(k_s)
-                except ValueError:
-                    raise ReproError(
-                        f"bad --network spec {spec!r}: expected NxK, e.g. 9x2"
-                    ) from None
-                plane.register(f"net{i}-{n}x{k}", n=n, k=k)
-        placement = ", ".join(
-            f"{m.name}->s{m.shard}" for m in plane
-        )
-        print(f"placement ({args.shards} shards): {placement}")
-        trace = random_trace(
-            plane, args.events, seed=args.seed, query_ratio=args.query_ratio
-        )
-        report = run_trace(plane, trace)
-        snap = plane.snapshot()
-        if args.trace_out is not None:
-            from .obs.cli import write_trace_file
-
-            write_trace_file(
-                args.trace_out,
-                plane.tracer.spans(),
-                meta={"source": "serve-sharded", "events": len(trace),
-                      "seed": args.seed, "shards": args.shards},
-            )
-            print(f"wrote {args.trace_out}")
-    print(snap.summary())
-    degraded = sum(1 for a in report.answers if a.degraded)
-    stale = sum(1 for a in report.answers if a.stale)
-    print(
-        f"trace: {len(report.records)} applied, {len(report.answers)} answered "
-        f"({degraded} degraded, {stale} stale), "
-        f"{report.shed} shed, {len(report.errors)} errors"
-    )
-    for err in report.errors:
-        print(f"  error: {err}", file=sys.stderr)
-    return 0 if report.ok else 1
 
 
 _COMMANDS = {

@@ -3,7 +3,7 @@
 Times the three exhaustive sweep engines — cold serial
 (:func:`~repro.core.verify.exhaustive.verify_exhaustive`), warm-started
 serial (:func:`~repro.core.verify.warm.verify_exhaustive_warm`) and
-symmetry-sharded parallel
+Gray-range parallel
 (:func:`~repro.core.verify.parallel.verify_exhaustive_parallel`) — over
 a fixed catalog of instances: the small standard constructions, the
 paper's four computer-checked specials and a vertex-transitive
@@ -36,10 +36,10 @@ on the small catalog, so warm is the cross-check reference there).
 from __future__ import annotations
 
 import json
-import platform
 import time
 from typing import Callable, Hashable
 
+from ..._util import host_meta
 from ...errors import VerificationError
 from ...obs.exposition import phase_breakdown
 from ...obs.spans import Tracer
@@ -264,8 +264,7 @@ def run_bench(
     return {
         "meta": {
             "benchmark": "verify",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
+            **host_meta(),
             "workers": workers,
             "instances": names,
         },

@@ -193,15 +193,11 @@ class AttachedSweepContext:
         self.segments = spec["segments"]
         self._shm = None
         if spec["shm_name"] is not None:
+            # workers share the parent's resource tracker, so attaching
+            # re-registers a name the tracker already holds; the parent's
+            # unlink() is the one unregister.  Unregistering here too
+            # would make that unlink a tracker KeyError traceback.
             self._shm = _shared_memory.SharedMemory(name=spec["shm_name"])
-            # the parent owns the segment's lifetime; stop the child's
-            # resource tracker from unlinking it on worker exit
-            try:  # pragma: no cover - CPython implementation detail
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(self._shm._name, "shared_memory")
-            except (ImportError, AttributeError, KeyError, ValueError):
-                pass  # tracker layout differs: worst case is a warning
             self._buf = self._shm.buf
         else:
             self._buf = spec["inline"] or b""

@@ -1,8 +1,9 @@
 """RB7xx — blocking discipline: nothing slow happens while a lock is held.
 
-The asyncio front door in the sharding plan multiplexes every shard
-through one event loop; a lock held across a blocking call then stalls
-not one request but the whole plane.  This pass computes path-sensitive
+The control plane drains every network on one shared worker pool and
+answers queries from lock-free snapshots; a lock held across a blocking
+call stalls not one request but every worker and reader that needs the
+same lock.  This pass computes path-sensitive
 held-lock sets over the CFG (:func:`repro.lint.cfg.held_locks`) and
 flags, at every program point where at least one lock is provably held:
 

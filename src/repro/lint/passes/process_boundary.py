@@ -1,12 +1,13 @@
 """RC6xx — process-boundary safety: what crosses a fork must pickle.
 
-The sharding roadmap item moves work into ``multiprocessing`` pools, and
-everything shipped to a worker — task arguments, initializer arguments,
-``Process`` targets — is pickled.  Locks, sqlite connections, tracers,
-open files and locally-defined callables all fail at dispatch time (or
-worse, appear to work under the fork start method and break under
-spawn).  This pass types process-pool receivers through reaching
-definitions, then checks every payload expression flowing into them:
+The exhaustive verifier fans Gray-code rank ranges out to
+``multiprocessing`` workers, and everything shipped to a worker — task
+arguments, initializer arguments, ``Process`` targets — is pickled.
+Locks, sqlite connections, tracers, open files and locally-defined
+callables all fail at dispatch time (or worse, appear to work under the
+fork start method and break under spawn).  This pass types process-pool
+receivers through reaching definitions, then checks every payload
+expression flowing into them:
 
 * **RC601** — a provably unpicklable value (a lock, an instance of a
   lock-owning project class, an open file/connection, a thread or
@@ -19,18 +20,6 @@ definitions, then checks every payload expression flowing into them:
   created (or ``os.fork()`` is called): under the fork start method the
   child inherits a copy of the lock in whatever state it was in, which
   deadlocks the child if the parent held it.
-* **RC604** — an unpicklable value flows into ``Connection.send(...)``
-  on a ``multiprocessing`` pipe.  The sharded control plane
-  (:mod:`repro.service.shard` / :mod:`repro.service.frontdoor`) speaks
-  a request/reply protocol over pipes, and every ``send`` pickles its
-  argument exactly like a pool payload.  Connections are typed from
-  ``Connection`` parameter annotations and from ``a, b = Pipe()``
-  unpacking.  The wire message types themselves —
-  :class:`~repro.service.shard.ShardRequest` /
-  :class:`~repro.service.shard.ShardReply`, frozen dataclasses of
-  scalars, frozensets and ``SpanContext`` — are known-picklable and
-  explicitly allowlisted, so building one inline at the send site never
-  trips the lock-model heuristics.
 
 ``ThreadPoolExecutor`` receivers are exempt (no serialization), and an
 untypable receiver contributes nothing — the pass under-reports rather
@@ -93,11 +82,6 @@ _UNPICKLABLE_FACTORIES = frozenset(
      "Pool", "SanitizedLock", "open", "connect", "SharedMemory",
      "ShmWorkerPool", "memoryview"}
 )
-#: wire message types of the shard protocol — frozen dataclasses whose
-#: fields (scalars, frozensets, SpanContext) are pickle-clean by design.
-#: Listed so the pass knows they cross the boundary legitimately.
-_WIRE_MESSAGE_TYPES = frozenset({"ShardRequest", "ShardReply"})
-
 _FACTORY_KIND = {
     "open": "an open file", "connect": "a database connection",
     "Thread": "a thread", "Pool": "a process pool",
@@ -127,11 +111,6 @@ class ProcessBoundaryPass(LintPass):
             Severity.ERROR,
             "lock held while creating a worker process (fork inherits it)",
         ),
-        Rule(
-            "RC604",
-            Severity.ERROR,
-            "unpicklable value sent over a multiprocessing pipe",
-        ),
     )
 
     def run(self, modules: Sequence[Module]) -> list[Finding]:
@@ -158,7 +137,6 @@ def _check(
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node is not func
     }
-    conn_names = _connection_names(func)
     out: list[Finding] = []
     for fn in _own_and_nested(func):
         graph = cfglib.build_cfg(fn)
@@ -175,43 +153,10 @@ def _check(
                     out.extend(
                         _check_call(
                             node, rdefs.get(point, {}), held.get(point, frozenset()),
-                            env, local_defs, conn_names, module, model,
+                            env, local_defs, module, model,
                         )
                     )
     return out
-
-
-def _connection_names(func: ast.FunctionDef) -> frozenset[str]:
-    """Local names provably bound to a ``multiprocessing`` connection:
-    parameters annotated ``Connection`` and targets of ``a, b = Pipe()``
-    unpacking (the tuple unpack erases the value from reaching defs, so
-    pipe ends are recognized syntactically here)."""
-    names: set[str] = set()
-    args = func.args
-    for arg in (
-        *args.posonlyargs, *args.args, *args.kwonlyargs,
-        *filter(None, (args.vararg, args.kwarg)),
-    ):
-        ann = arg.annotation
-        chain = attr_chain(ann) if ann is not None else None
-        label = chain[-1] if chain else (
-            ann.id if isinstance(ann, ast.Name) else None
-        )
-        if label == "Connection":
-            names.add(arg.arg)
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Assign)
-            and call_name(node.value) == "Pipe"
-        ):
-            for target in node.targets:
-                if isinstance(target, (ast.Tuple, ast.List)):
-                    for elt in target.elts:
-                        if isinstance(elt, ast.Name):
-                            names.add(elt.id)
-                elif isinstance(target, ast.Name):
-                    names.add(target.id)
-    return frozenset(names)
 
 
 def _own_and_nested(func: ast.FunctionDef):
@@ -258,7 +203,6 @@ def _check_call(
     held: frozenset,
     env: dict[str, str],
     local_defs: set[str],
-    conn_names: frozenset[str],
     module: Module,
     model: LockModel,
 ) -> list[Finding]:
@@ -266,7 +210,6 @@ def _check_call(
     name = call_name(call)
 
     payload: list[tuple[ast.AST, str]] = []  # (expr, sink description)
-    pipe_payload: list[ast.AST] = []         # conn.send(...) arguments
     fork_site = None
 
     if isinstance(call.func, ast.Attribute) and call.func.attr in _POOL_PAYLOAD_METHODS:
@@ -280,13 +223,6 @@ def _check_call(
                 for kw in call.keywords
                 if kw.arg not in _PARENT_SIDE_KWARGS
             )
-    if (
-        isinstance(call.func, ast.Attribute)
-        and call.func.attr == "send"
-        and isinstance(call.func.value, ast.Name)
-        and call.func.value.id in conn_names
-    ):
-        pipe_payload.extend(call.args)
     if name in {"Pool", "ProcessPoolExecutor"}:
         fork_site = f"'{name}(...)'"
         for kw in call.keywords:
@@ -358,23 +294,6 @@ def _check_call(
                         symbol=symbol,
                     )
                 )
-
-    for expr in pipe_payload:
-        for leaf in _payload_leaves(expr):
-            reason = _unpicklable(leaf, rdefs, env, model, depth=2)
-            if reason is not None:
-                out.append(
-                    Finding(
-                        path=module.rel, line=leaf.lineno, col=leaf.col_offset,
-                        rule="RC604", severity=Severity.ERROR,
-                        message=(
-                            f"{reason} in a pipe 'send()': the connection "
-                            "pickles its argument across the process "
-                            "boundary"
-                        ),
-                        symbol=symbol,
-                    )
-                )
     return out
 
 
@@ -412,10 +331,6 @@ def _unpicklable(
     if is_lock_call(expr):
         return "a lock"
     name = call_name(expr)
-    if name in _WIRE_MESSAGE_TYPES:
-        # shard protocol messages are designed for the wire; their
-        # frozen scalar/frozenset fields never trip the heuristics below
-        return None
     if name in _UNPICKLABLE_FACTORIES:
         return _FACTORY_KIND.get(name, "a lock/synchronization primitive")
     if isinstance(expr, ast.Attribute) and expr.attr == "buf":

@@ -20,14 +20,15 @@ witnesses, shedding load deliberately and reporting what it did.
   the memory LRU over the store, plus warm start;
 * :mod:`repro.service.mailbox` — the per-network actor mailbox and the
   atomic counters behind the plane's lock-free read paths;
-* :mod:`repro.service.shard` — the worker-process side of the sharded
-  deployment (one private plane per process, a pipe wire protocol);
-* :mod:`repro.service.frontdoor` — consistent hashing plus the asyncio
-  front door that multiplexes a fleet across N shard processes;
 * :mod:`repro.service.loadgen` — the open-loop load harness behind
   ``python -m repro bench --service`` (``BENCH_service.json``);
 * :mod:`repro.service.trace` — scripted/randomized trace drivers and the
   ``python -m repro serve`` demo fleet.
+
+One in-process :class:`ControlPlane` is the whole deployment: a
+multi-process sharded plane measured slower than it on two CPUs, because
+each event's work is smaller than a pickled pipe round trip
+(``docs/service.md``).
 """
 
 from .cache import CacheStats, WitnessCache
@@ -38,21 +39,13 @@ from .control import (
     ManagedNetwork,
     PipelineAnswer,
 )
-from .frontdoor import HashRing, ShardedControlPlane, ShardedNetwork
 from .loadgen import (
     format_service_table,
     run_service_bench,
     service_smoke_regressions,
 )
 from .mailbox import AtomicCounters, Mailbox
-from .metrics import (
-    EventRecord,
-    LatencyStats,
-    MetricsSnapshot,
-    NetworkStats,
-    ShardStats,
-)
-from .shard import ShardReply, ShardRequest
+from .metrics import EventRecord, LatencyStats, MetricsSnapshot, NetworkStats
 from .store import StoreStats, WitnessStore
 from .tiering import TieredWitnessCache, WriteBehindWriter
 from .trace import (
@@ -73,12 +66,6 @@ __all__ = [
     "Mailbox",
     "AtomicCounters",
     "PipelineAnswer",
-    "HashRing",
-    "ShardedControlPlane",
-    "ShardedNetwork",
-    "ShardRequest",
-    "ShardReply",
-    "ShardStats",
     "WitnessCache",
     "CacheStats",
     "Canonicalizer",

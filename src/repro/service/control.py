@@ -721,9 +721,7 @@ class ControlPlane:
         """Each network's ``(name, network, pipeline, faults)`` from its
         published snapshot — the ground truth a validator should check
         after :meth:`wait`.  Drivers use this instead of reaching into
-        ``m.session`` so the same validation works against a
-        :class:`~repro.service.frontdoor.ShardedControlPlane`, whose
-        sessions live in other processes."""
+        ``m.session``, which the drain worker may still be mutating."""
         out: list[tuple[str, PipelineNetwork, Pipeline, frozenset]] = []
         for m in self._managed.values():
             state = m.answer_published

@@ -37,21 +37,19 @@ absolute noise floor — queries are sub-millisecond) behind cold.
 from __future__ import annotations
 
 import os
-import platform
 import tempfile
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Sequence
 
-from .._util import as_rng
+from .._util import as_rng, host_meta
 from ..errors import ReproError, ServiceOverloadError
 from ..obs.exposition import phase_breakdown
 from ..obs.quantiles import exact_quantile
 from ..simulator.faults import poisson_fault_schedule
 from ..simulator.fleet import timed_fleet_trace
 from .control import ControlPlane, ControlPlaneConfig
-from .frontdoor import HashRing, ShardedControlPlane
 from .trace import TraceEvent, demo_ring_network, random_trace
 
 #: (name, registration) rows for the bench fleets; replicas of one build
@@ -187,89 +185,6 @@ class LoadReport:
     solve_latency: LatencySummary
 
 
-@dataclass
-class _ReplayTally:
-    """Raw per-replay accounting (mergeable across driver threads)."""
-
-    submitted: int = 0
-    shed: int = 0
-    errors: int = 0
-    degraded: int = 0
-    stale: int = 0
-    queries: int = 0
-    query_lat: list = None
-    solve_lat: list = None
-
-    def __post_init__(self) -> None:
-        if self.query_lat is None:
-            self.query_lat = []
-        if self.solve_lat is None:
-            self.solve_lat = []
-
-
-def _replay(
-    plane,
-    workload: Sequence[tuple[float, TraceEvent]],
-    *,
-    speed: float,
-    timeout: float,
-) -> _ReplayTally:
-    """The open-loop replay core: submit on schedule, then drain."""
-    tally = _ReplayTally(submitted=len(workload))
-    futures: list[Future] = []
-    t_start = time.perf_counter()
-    for at, ev in workload:
-        target = t_start + at / speed
-        delay = target - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        if ev.kind == "query":
-            t0 = time.perf_counter()
-            answer = plane.query_pipeline(ev.network)
-            tally.query_lat.append(time.perf_counter() - t0)
-            tally.queries += 1
-            if answer.degraded:
-                tally.degraded += 1
-            if answer.stale:
-                tally.stale += 1
-            continue
-        try:
-            if ev.kind == "fault":
-                futures.append(plane.submit_fault(ev.network, ev.node))
-            else:
-                futures.append(plane.submit_repair(ev.network, ev.node))
-        except ServiceOverloadError:
-            tally.shed += 1
-    for fut in futures:
-        try:
-            tally.solve_lat.append(fut.result(timeout=timeout).latency)
-        except ServiceOverloadError:
-            # a shard worker shed the event after admission at the front
-            # door: still deliberate load shedding, not an error
-            tally.shed += 1
-        except ReproError:
-            tally.errors += 1
-    plane.wait(timeout=timeout)
-    return tally
-
-
-def _tally_report(tallies: Sequence[_ReplayTally], wall: float) -> LoadReport:
-    query_lat = [x for t in tallies for x in t.query_lat]
-    solve_lat = [x for t in tallies for x in t.solve_lat]
-    return LoadReport(
-        wall_time_s=wall,
-        submitted=sum(t.submitted for t in tallies),
-        applied=len(solve_lat),
-        queries=sum(t.queries for t in tallies),
-        shed=sum(t.shed for t in tallies),
-        errors=sum(t.errors for t in tallies),
-        degraded=sum(t.degraded for t in tallies),
-        stale=sum(t.stale for t in tallies),
-        query_latency=summarize_latencies(query_lat),
-        solve_latency=summarize_latencies(solve_lat),
-    )
-
-
 def run_load(
     plane: ControlPlane,
     workload: Sequence[tuple[float, TraceEvent]],
@@ -287,44 +202,48 @@ def run_load(
     """
     if speed <= 0:
         raise ReproError("replay speed must be > 0")
+    shed = errors = degraded = stale = 0
+    query_lat: list[float] = []
+    solve_lat: list[float] = []
+    futures: list[Future] = []
     t_start = time.perf_counter()
-    tally = _replay(plane, workload, speed=speed, timeout=timeout)
-    return _tally_report([tally], time.perf_counter() - t_start)
-
-
-def run_load_sharded(
-    plane: ShardedControlPlane,
-    workload: Sequence[tuple[float, TraceEvent]],
-    *,
-    speed: float = 1.0,
-    timeout: float = 120.0,
-) -> LoadReport:
-    """Replay *workload* against a sharded plane with one driver thread
-    per shard partition — how clients actually hit a sharded service.
-
-    A single driver thread would serialize every synchronous query
-    round-trip through one client, measuring the client instead of the
-    service; partitioning by owning shard keeps each shard's traffic
-    in submission order (the per-network ordering guarantee only needs
-    per-shard FIFO, and networks never span shards)."""
-    if speed <= 0:
-        raise ReproError("replay speed must be > 0")
-    parts: dict[int, list[tuple[float, TraceEvent]]] = {}
     for at, ev in workload:
-        parts.setdefault(plane.shard_of(ev.network), []).append((at, ev))
-    if not parts:
-        return _tally_report([_ReplayTally()], 0.0)
-    t_start = time.perf_counter()
-    with ThreadPoolExecutor(
-        max_workers=len(parts), thread_name_prefix="repro-loadgen"
-    ) as pool:
-        tallies = list(
-            pool.map(
-                lambda part: _replay(plane, part, speed=speed, timeout=timeout),
-                parts.values(),
-            )
-        )
-    return _tally_report(tallies, time.perf_counter() - t_start)
+        target = t_start + at / speed
+        delay = target - time.perf_counter()
+        if delay > 0:
+            time.sleep(delay)
+        if ev.kind == "query":
+            t0 = time.perf_counter()
+            answer = plane.query_pipeline(ev.network)
+            query_lat.append(time.perf_counter() - t0)
+            degraded += answer.degraded
+            stale += answer.stale
+            continue
+        try:
+            if ev.kind == "fault":
+                futures.append(plane.submit_fault(ev.network, ev.node))
+            else:
+                futures.append(plane.submit_repair(ev.network, ev.node))
+        except ServiceOverloadError:
+            shed += 1
+    for fut in futures:
+        try:
+            solve_lat.append(fut.result(timeout=timeout).latency)
+        except ReproError:
+            errors += 1
+    plane.wait(timeout=timeout)
+    return LoadReport(
+        wall_time_s=time.perf_counter() - t_start,
+        submitted=len(workload),
+        applied=len(solve_lat),
+        queries=len(query_lat),
+        shed=shed,
+        errors=errors,
+        degraded=degraded,
+        stale=stale,
+        query_latency=summarize_latencies(query_lat),
+        solve_latency=summarize_latencies(solve_lat),
+    )
 
 
 def _phase_row(
@@ -369,128 +288,6 @@ def _phase_row(
     }
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # non-Linux
-        return os.cpu_count() or 1
-
-
-def shard_fleet_names(ring: HashRing, per_shard: int) -> list[str]:
-    """Replica names placed *per_shard* per ring shard.
-
-    Candidate names are walked in order and kept only while their shard
-    still has room — the shard phases need a balanced fleet, or the
-    1-shard vs N-shard comparison measures hash luck instead of the
-    service.  Deterministic: the ring hash is seedless sha256.
-    """
-    chosen: list[str] = []
-    counts = [0] * ring.shards
-    i = 0
-    while len(chosen) < per_shard * ring.shards:
-        name = f"replica-{i}"
-        i += 1
-        shard = ring.shard_for(name)
-        if counts[shard] < per_shard:
-            chosen.append(name)
-            counts[shard] += 1
-    return chosen
-
-
-def _cross_share_witnesses(plane: ShardedControlPlane, node: str) -> None:
-    """Force one deliberate cross-shard witness share before the load.
-
-    A fault solved on one shard is flushed to the shared store, then the
-    same fault on a same-build replica owned by a *different* shard must
-    come back as that shard's persistent-tier hit (its own memory LRU
-    has never seen the pattern).  Both replicas are repaired afterwards
-    so the workload starts fault-free."""
-    by_shard: dict[int, str] = {}
-    for m in plane:
-        by_shard.setdefault(m.shard, m.name)
-    if len(by_shard) < 2:
-        return
-    first, second = list(by_shard.values())[:2]
-    plane.submit_fault(first, node).result(timeout=60)
-    plane.flush()
-    plane.submit_fault(second, node).result(timeout=60)
-    for name in (first, second):
-        plane.submit_repair(name, node).result(timeout=60)
-    plane.wait()
-
-
-def _run_shard_phases(
-    *,
-    shards: int,
-    smoke: bool,
-    events: int,
-    rate: float,
-    seed: int,
-    workers: int,
-    query_ratio: float,
-    profile: str,
-    store_dir: str,
-    tracing: bool,
-) -> list[dict]:
-    """The ``shard-1`` and ``shard-N`` bench phases.
-
-    Both phases register the *same* balanced replica fleet (names chosen
-    on the N-shard ring) against a fresh store and replay the *same*
-    workload twice, one client thread per shard:
-
-    * a **paced** replay at the scheduled arrival rate — low utilization,
-      so its latency distribution measures the wire and service paths
-      rather than queueing, and the shard-1 vs shard-N p95 comparison
-      stays meaningful even when the worker processes timeshare cores;
-    * a **saturated** replay (throttle wide open) whose wall clock
-      measures service capacity — the ``throughput_eps`` column.
-    """
-    ring = HashRing(shards)
-    names = shard_fleet_names(ring, per_shard=2 if smoke else 3)
-    n, k = (6, 2) if smoke else (9, 2)
-    rows = []
-    for phase_shards in (1, shards):
-        phase = f"shard-{phase_shards}"
-        store_path = os.path.join(store_dir, f"witness-{phase}.db")
-        config = ControlPlaneConfig(
-            workers=workers,
-            store_path=store_path,
-            tracing=tracing,
-            trace_ring=1 << 15,
-        )
-        with ShardedControlPlane(phase_shards, config) as plane:
-            for name in names:
-                plane.register(name, n=n, k=k)
-            if phase_shards > 1:
-                _cross_share_witnesses(plane, "p1")
-            workload = build_workload(
-                plane,
-                events=events,
-                rate=rate,
-                seed=seed,
-                query_ratio=query_ratio,
-                profile=profile,
-            )
-            report = run_load_sharded(plane, workload)
-            saturated = run_load_sharded(plane, workload, speed=1e6)
-            plane.flush()
-            phases = phase_breakdown(plane.tracer.drain())
-            snapshot = plane.snapshot()
-            row = _phase_row(phase, report, snapshot, phases)
-            done = saturated.applied + saturated.queries
-            row["shards"] = phase_shards
-            row["throughput_eps"] = (
-                done / saturated.wall_time_s if saturated.wall_time_s else 0.0
-            )
-            row["shared_witnesses"] = sum(
-                s.persist_hits for s in (snapshot.shards or ())
-            )
-            row["cpus"] = _usable_cpus()
-            rows.append(row)
-    return rows
-
-
 def run_service_bench(
     *,
     smoke: bool = False,
@@ -504,21 +301,16 @@ def run_service_bench(
     tracing: bool = True,
     dump_dir: str | None = None,
     instrument=None,
-    shards: int | None = None,
 ) -> dict:
     """The ``BENCH_service.json`` payload: a cold-store phase followed by
     a warm-store phase (fresh plane, same store) over identical
-    workloads; with ``shards=N`` (N >= 2) two more phases compare a
-    1-shard against an N-shard :class:`ShardedControlPlane` under a
-    saturating drive (fresh store each, plus a forced cross-shard
-    witness share recorded as ``shared_witnesses``).
+    workloads.
 
     *store_path* defaults to a temporary file removed afterwards; an
     explicit path is kept (and its pre-existing content removed first so
     the cold phase really is cold).  ``instrument``, when given, is
     called with each phase's idle, fully-registered plane before load —
-    the sanitizer attachment point (cold/warm phases only; the shard
-    phases' planes live in worker processes the sanitizers can't reach).
+    the sanitizer attachment point.
     """
     n_events = events if events is not None else (150 if smoke else 600)
     arrival = rate if rate is not None else (200.0 if smoke else 300.0)
@@ -558,27 +350,10 @@ def run_service_bench(
                 rows.append(
                     _phase_row(phase, report, plane.snapshot(), phases)
                 )
-        if shards is not None and shards > 1:
-            shard_dir = os.path.dirname(store_path) or "."
-            rows.extend(
-                _run_shard_phases(
-                    shards=shards,
-                    smoke=smoke,
-                    events=n_events,
-                    rate=arrival,
-                    seed=seed,
-                    workers=workers,
-                    query_ratio=query_ratio,
-                    profile=profile,
-                    store_dir=shard_dir,
-                    tracing=tracing,
-                )
-            )
         return {
             "meta": {
                 "benchmark": "service",
-                "python": platform.python_version(),
-                "machine": platform.machine(),
+                **host_meta(),
                 "smoke": smoke,
                 "events": n_events,
                 "rate": arrival,
@@ -587,8 +362,6 @@ def run_service_bench(
                 "query_ratio": query_ratio,
                 "profile": profile,
                 "tracing": tracing,
-                "shards": shards,
-                "cpus": _usable_cpus(),
             },
             "rows": rows,
         }
@@ -602,23 +375,18 @@ def format_service_table(payload: dict) -> str:
     lines = [
         f"{'phase':<8} {'events':>7} {'queries':>8} {'shed':>5} "
         f"{'hit%':>6} {'warm':>5} {'q-p50':>9} {'q-p95':>9} {'q-p99':>9} "
-        f"{'s-p95':>9} {'degr%':>6} {'thr':>9}"
+        f"{'s-p95':>9} {'degr%':>6}"
     ]
     for row in payload["rows"]:
         q = row["query_latency_s"]
         s = row["solve_latency_s"]
-        thr = (
-            f"{row['throughput_eps']:>7.0f}/s"
-            if "throughput_eps" in row
-            else f"{'-':>9}"
-        )
         lines.append(
             f"{row['phase']:<8} {row['events_applied']:>7} "
             f"{row['queries']:>8} {row['shed']:>5} "
             f"{row['cache_hit_rate'] * 100:>5.1f}% {row['warm_loaded']:>5} "
             f"{q['p50'] * 1e3:>8.3f}m {q['p95'] * 1e3:>8.3f}m "
             f"{q['p99'] * 1e3:>8.3f}m {s['p95'] * 1e3:>8.3f}m "
-            f"{row['degraded_rate'] * 100:>5.1f}% {thr}"
+            f"{row['degraded_rate'] * 100:>5.1f}%"
         )
     return "\n".join(lines)
 
@@ -660,59 +428,5 @@ def service_smoke_regressions(
             bad.append(
                 f"warm p95 query latency {warm_p95 * 1e3:.3f} ms vs "
                 f"cold {cold_p95 * 1e3:.3f} ms (> {tolerance:.0%} regression)"
-            )
-    bad.extend(shard_smoke_regressions(payload, tolerance=tolerance))
-    return bad
-
-
-def shard_smoke_regressions(
-    payload: dict,
-    tolerance: float = 0.10,
-    wire_noise_floor_s: float = 0.002,
-    speedup_floor: float = 1.5,
-) -> list[str]:
-    """The CI gate over the ``shard-1`` / ``shard-N`` phase pair.
-
-    Flags: an N-shard phase whose forced cross-shard witness share never
-    happened (``shared_witnesses == 0`` — the shared store path is
-    broken), N-shard p95 query latency more than *tolerance* behind the
-    1-shard baseline (past a wire-sized noise floor — both phases pay
-    the pipe round-trip, so the comparison is apples to apples), and —
-    only when the host exposes at least two usable CPUs — N-shard
-    throughput below *speedup_floor* times the 1-shard baseline.  On a
-    single-CPU host the worker processes timeshare one core and a
-    throughput requirement would only measure the scheduler, so that
-    gate reports nothing there (the columns are still recorded).
-    """
-    rows = [r for r in payload["rows"] if r["phase"].startswith("shard-")]
-    if not rows:
-        return []
-    bad: list[str] = []
-    base = next((r for r in rows if r.get("shards") == 1), None)
-    multi = [r for r in rows if r.get("shards", 0) > 1]
-    for row in multi:
-        if not row.get("shared_witnesses"):
-            bad.append(
-                f"{row['phase']}: no cross-shard witness sharing observed "
-                f"(persist hits are zero across every shard)"
-            )
-    if base is None:
-        return bad
-    base_p95 = base["query_latency_s"]["p95"]
-    base_thr = base.get("throughput_eps", 0.0)
-    for row in multi:
-        p95 = row["query_latency_s"]["p95"]
-        if p95 > base_p95 * (1 + tolerance) and p95 - base_p95 > wire_noise_floor_s:
-            bad.append(
-                f"{row['phase']} p95 query latency {p95 * 1e3:.3f} ms vs "
-                f"shard-1 {base_p95 * 1e3:.3f} ms (> {tolerance:.0%} worse)"
-            )
-        cpus = min(row.get("cpus", 1), base.get("cpus", 1))
-        thr = row.get("throughput_eps", 0.0)
-        if cpus >= 2 and base_thr and thr < speedup_floor * base_thr:
-            bad.append(
-                f"{row['phase']} throughput {thr:.0f} ev/s vs shard-1 "
-                f"{base_thr:.0f} ev/s (< {speedup_floor:.1f}x on "
-                f"{cpus} CPUs)"
             )
     return bad

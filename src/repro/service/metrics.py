@@ -91,28 +91,6 @@ class NetworkStats:
 
 
 @dataclass(frozen=True)
-class ShardStats:
-    """Point-in-time view of one worker shard (sharded deployments).
-
-    ``shed_local`` counts events the front door refused before they
-    reached the pipe (per-shard backpressure window); ``persist_hits``
-    is the shard's own persistent-tier hit counter — with no evictions,
-    every hit is a row some *other* process wrote, i.e. direct evidence
-    of cross-shard witness sharing.
-    """
-
-    shard: int
-    networks: tuple[str, ...]
-    events: int
-    queries: int
-    pending: int
-    in_flight: int
-    shed_local: int
-    persist_hits: int
-    latency: LatencyStats
-
-
-@dataclass(frozen=True)
 class MetricsSnapshot:
     """The control plane's health/metrics report."""
 
@@ -125,10 +103,6 @@ class MetricsSnapshot:
     store: StoreStats | None = None
     #: flight-recorder anomaly totals by kind (``None`` without a recorder).
     anomalies: Mapping[str, int] | None = None
-    #: per-shard rows when the snapshot came from a
-    #: :class:`~repro.service.frontdoor.ShardedControlPlane`
-    #: (``None`` for the in-process plane).
-    shards: tuple[ShardStats, ...] | None = None
 
     @property
     def events(self) -> int:
@@ -190,24 +164,6 @@ class MetricsSnapshot:
             "anomalies": (
                 None if self.anomalies is None else dict(self.anomalies)
             ),
-            "shards": (
-                None
-                if self.shards is None
-                else [
-                    {
-                        "shard": s.shard,
-                        "networks": list(s.networks),
-                        "events": s.events,
-                        "queries": s.queries,
-                        "pending": s.pending,
-                        "in_flight": s.in_flight,
-                        "shed_local": s.shed_local,
-                        "persist_hits": s.persist_hits,
-                        "latency_p95": s.latency.p95,
-                    }
-                    for s in self.shards
-                ]
-            ),
             "recent_records": len(self.records),
         }
 
@@ -252,16 +208,6 @@ class MetricsSnapshot:
                 f"{s.validation_failures} validation failures, "
                 f"{s.torn_rows} torn rows",
             )
-        if self.shards is not None:
-            for sh in self.shards:
-                lines.append(
-                    f"  shard {sh.shard}: {len(sh.networks)} networks "
-                    f"({', '.join(sh.networks)}), {sh.events} events, "
-                    f"{sh.queries} queries, {sh.pending} pending, "
-                    f"{sh.shed_local} shed at front door, "
-                    f"{sh.persist_hits} store hits, "
-                    f"p95 {sh.latency.p95 * 1e3:.2f} ms"
-                )
         for s in self.networks:
             c = s.counters
             lines.append(

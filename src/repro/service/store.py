@@ -1,10 +1,10 @@
 """The persistent witness tier: a SQLite-backed store of solved pipelines.
 
 The in-memory :class:`~repro.service.cache.WitnessCache` dies with the
-process, so every control-plane start is cold and every shard re-solves
-fault sets its siblings already paid for.  :class:`WitnessStore` is the
-durable tier underneath it: one SQLite database (WAL mode, so concurrent
-shard processes can read while one writes) keyed by
+process, so every control-plane start would be cold and re-solve fault
+sets an earlier run already paid for.  :class:`WitnessStore` is the
+durable tier underneath it: one SQLite database (WAL mode, so another
+plane opening the same file can read while this one writes) keyed by
 ``(structural fingerprint, canonical fault key)`` — the same row identity
 the memory tier uses, so a witness solved once for a structural
 fingerprint is available fleet-wide, forever.

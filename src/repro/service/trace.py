@@ -181,11 +181,6 @@ def run_trace(
     for fut in futures:
         try:
             records.append(fut.result(timeout=timeout))
-        except ServiceOverloadError:
-            # sharded planes shed either locally (raised at submit) or on
-            # the worker (surfacing here) — both are deliberate load
-            # shedding, not errors
-            shed += 1
         except ReproError as exc:
             errors.append(str(exc))
     plane.wait(timeout=timeout)

@@ -101,58 +101,6 @@ class TestProcessBoundary:
         )
         assert _rules(src, select=["RC603"]) == []
 
-    def test_rc604_lock_sent_over_pipe_unpack(self):
-        src = (
-            "import threading\n"
-            "from multiprocessing import Pipe\n"
-            "def f():\n"
-            "    parent, child = Pipe()\n"
-            "    lk = threading.Lock()\n"
-            "    parent.send(lk)\n"
-        )
-        findings = analyze_source(src, select=["RC604"])
-        assert [f.rule for f in findings] == ["RC604"]
-        assert "pipe 'send()'" in findings[0].message
-
-    def test_rc604_plane_sent_over_annotated_connection(self):
-        src = (
-            "import threading\n"
-            "from multiprocessing.connection import Connection\n"
-            "class Plane:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "def serve(conn: Connection):\n"
-            "    plane = Plane()\n"
-            "    conn.send(plane)\n"
-        )
-        findings = analyze_source(src, select=["RC604"])
-        assert findings and "lock-owning class 'Plane'" in findings[0].message
-
-    def test_rc604_shard_messages_are_wire_clean(self):
-        # the shard protocol's frozen message types are allowlisted: the
-        # pass knows they are designed to cross the pickle boundary
-        src = (
-            "from multiprocessing import Pipe\n"
-            "from repro.service.shard import ShardReply, ShardRequest\n"
-            "def f(seq, span):\n"
-            "    parent, child = Pipe()\n"
-            "    req = ShardRequest(seq=seq, op='query', span=span)\n"
-            "    parent.send(req)\n"
-            "    child.send(ShardReply(seq=seq, ok=True))\n"
-        )
-        assert _rules(src, select=["RC604"]) == []
-
-    def test_rc604_unrelated_send_is_ignored(self):
-        # .send() on something never typed as a pipe connection (a
-        # generator here) must not be mistaken for a pickle boundary
-        src = (
-            "import threading\n"
-            "def f(gen):\n"
-            "    lk = threading.Lock()\n"
-            "    gen.send(lk)\n"
-        )
-        assert _rules(src, select=["RC604"]) == []
-
     def test_rc601_shared_memory_segment_in_payload(self):
         src = (
             "from multiprocessing import Pool\n"

@@ -34,7 +34,7 @@ class TestFindings:
         assert ids == {
             "RL101", "RL102", "RL201", "RL202", "RD301", "RD302",
             "RE401", "RE402", "RE403", "RE404", "RA501", "RA502", "RA503",
-            "RC601", "RC602", "RC603", "RC604", "RB701", "RB702", "RR801", "RR802",
+            "RC601", "RC602", "RC603", "RB701", "RB702", "RR801", "RR802",
         }
         assert len(all_passes()) == 8
 

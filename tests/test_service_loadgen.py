@@ -109,6 +109,7 @@ class TestServiceBench:
 
     def test_payload_shape(self, payload):
         assert payload["meta"]["benchmark"] == "service"
+        assert {"python", "machine", "cpus", "git_sha"} <= set(payload["meta"])
         assert [r["phase"] for r in payload["rows"]] == ["cold", "warm"]
         for row in payload["rows"]:
             assert ROW_KEYS <= set(row)

@@ -1,11 +1,18 @@
 """Tests for the shared-memory sweep context and the crash-recovering
 worker pool: pack/attach round trips, the inline fallback, duplicate
-suppression, mid-chunk worker death, and end-to-end sweep recovery."""
+suppression, mid-chunk worker death, end-to-end sweep recovery, and a
+clean shared-memory resource tracker after real pool sweeps."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.constructions import build, build_special
 from repro.core.verify import (
     SharedSweepContext,
@@ -198,3 +205,45 @@ class TestSweepCrashRecovery:
         )
         assert cert.is_proof
         assert created and created[0][0]._shm is None
+
+
+#: two Gray-range pool sweeps of ring-C16(1,2) k=3, run in a fresh
+#: interpreter so its resource tracker's stderr is captured whole
+TRACKER_PROBE = textwrap.dedent(
+    """
+    from repro.core.verify import verify_exhaustive_parallel
+    from repro.core.verify.bench import _big_ring
+
+    net = _big_ring(16, 3, (1, 2))
+    for _ in range(2):
+        cert = verify_exhaustive_parallel(net, workers=2, symmetry=False)
+        assert cert.is_proof, cert.summary()
+    """
+)
+
+
+def _shm_segments() -> set[str]:
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+@needs_fork
+@pytest.mark.skipif(
+    not (HAVE_SHM and os.path.isdir("/dev/shm")),
+    reason="needs POSIX shared memory under /dev/shm",
+)
+def test_range_sweeps_leave_no_tracker_traceback_or_segment():
+    # workers share the parent's resource tracker, so only the parent may
+    # unregister the segment: a second unregister is a KeyError traceback
+    # printed by the tracker process
+    before = _shm_segments()
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACKER_PROBE],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert _shm_segments() - before == set()

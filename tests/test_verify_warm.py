@@ -33,6 +33,13 @@ def broken_network():
 
 
 SPECIALS = [(6, 2), (8, 2), (4, 3), (7, 3)]
+#: every special under both parallel paths: the Gray-range default keeps
+#: the bare "n-k" ids, the opt-in orbit item path gets an "-auto" suffix
+PARALLEL_SPECIALS = [
+    pytest.param(n, k, symmetry, id=f"{n}-{k}" + ("-auto" if symmetry else ""))
+    for symmetry in (False, "auto")
+    for n, k in SPECIALS
+]
 
 
 class TestRevolvingDoor:
@@ -142,11 +149,25 @@ class TestWarmEquivalence:
         # the tentpole claim: most fault sets never reach a solver
         assert warm.solver_calls < cold.solver_calls / 2
 
-    @pytest.mark.parametrize("n,k", SPECIALS)
-    def test_specials_certificates_match_parallel(self, n, k):
+    @pytest.mark.parametrize("n,k,symmetry", PARALLEL_SPECIALS)
+    def test_specials_certificates_match_parallel(self, n, k, symmetry):
         net = build_special(n, k)
         cold = verify_exhaustive(net)
-        par = verify_exhaustive_parallel(net, workers=2)
+        par = verify_exhaustive_parallel(net, workers=2, symmetry=symmetry)
+        assert (par.is_proof, par.checked, par.tolerated) == (
+            cold.is_proof, cold.checked, cold.tolerated
+        )
+
+    @pytest.mark.parametrize(
+        "symmetry,path", [(False, "gray ranges"), ("auto", "orbit reps")]
+    )
+    def test_symmetric_network_takes_the_chosen_path(self, symmetry, path):
+        # the specials' automorphism groups are trivial, so only a
+        # symmetric build shows "auto" taking the orbit item path
+        net = build(2, 2)
+        cold = verify_exhaustive(net)
+        par = verify_exhaustive_parallel(net, workers=2, symmetry=symmetry)
+        assert path in par.network_description
         assert (par.is_proof, par.checked, par.tolerated) == (
             cold.is_proof, cold.checked, cold.tolerated
         )
