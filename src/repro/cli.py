@@ -421,7 +421,10 @@ def cmd_bench(args) -> int:
             print(f"regression: {line}", file=sys.stderr)
         if regressions:
             return 1
-        print("smoke gate: warm sweep within 10% of cold everywhere")
+        print(
+            "smoke gate: warm sweep within 10% of cold and parallel "
+            "sweep within 10% of warm everywhere"
+        )
     return 0
 
 

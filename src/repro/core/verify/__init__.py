@@ -18,7 +18,7 @@ from .adversarial import (
     terminal_attack,
     uniform_faults,
 )
-from .batch import BatchSweeper, WitnessKernel, verify_exhaustive_batched
+from .batch import WitnessKernel
 from .certificates import VerificationCertificate, VerificationMode
 from .exhaustive import (
     gray_unrank,
@@ -51,12 +51,10 @@ __all__ = [
     "iter_gray_indices",
     "verify_exhaustive",
     "verify_exhaustive_warm",
-    "verify_exhaustive_batched",
     "verify_exhaustive_parallel",
     "verify_exhaustive_symmetry_reduced",
     "orbit_representatives",
     "CanonicalVerdictCache",
-    "BatchSweeper",
     "WitnessKernel",
     "SharedSweepContext",
     "ShmWorkerPool",

@@ -1,4 +1,4 @@
-"""Batched bitmask verification kernel.
+"""Vectorized witness kernel for the exhaustive sweep.
 
 The warm sweep (:mod:`repro.core.verify.warm`) decides fault sets one at
 a time: patch the instance, try to splice the previous witness, fall
@@ -7,7 +7,7 @@ bounds it: on the dense construction graphs >95% of fault sets are
 decided by a splice whose *logic* is a handful of bitmask tests.
 
 This module hoists those tests out of the per-set loop and runs them as
-vectorized matrix ops over whole *batches* of fault sets at once.  A
+numpy matrix ops over whole *batches* of fault sets at once.  A
 **witness library** holds spanning paths found during the sweep; for
 each library witness a set of flat tables is precomputed (path position
 per node, run-bridge chords, terminal attachment per candidate
@@ -35,35 +35,25 @@ exactly); false accepts are impossible, so verdicts, counterexamples
 and ``checked``/``tolerated`` totals are identical to the warm sweep's
 — asserted in the test suite.
 
-The kernel runs on numpy when available and on pure-Python integer
-bitmasks otherwise (``REPRO_NO_NUMPY=1`` forces the fallback); both
-paths implement the same decision procedure and produce identical
-residues, hence identical solver-call accounting.
+The sweep that drives the kernel is
+:func:`~repro.core.verify.parallel.verify_exhaustive_parallel`: its
+chunk worker runs one Gray-rank range through
+:meth:`WitnessKernel.accept_batch` and decides the residue with a
+:class:`~repro.core.verify.warm.WitnessSweeper` in rank order.
+:meth:`WitnessKernel.accept_row` is the same decision procedure for one
+row in plain Python: the conditional-witness tier, and the oracle the
+vectorized tier is tested against.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from math import comb
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from ...obs.spans import annotate, child_span
+import numpy as np
+
 from ..hamilton import SolvePolicy, Status, solve_posa
 from ..model import PipelineNetwork
-from .certificates import VerificationCertificate, VerificationMode
-from .exhaustive import iter_gray_indices
-from .warm import WitnessSweeper
-
-try:  # pragma: no cover - exercised by the no-numpy CI leg
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 Node = Hashable
 
@@ -73,8 +63,6 @@ GENERAL_CAP = 24
 #: that produced them), evaluated per-row on the vectorized tier's
 #: leftovers.
 CONDITIONAL_CAP = 4096
-#: rows per kernel batch — large enough to amortize per-op dispatch.
-BATCH_ROWS = 65536
 #: Pósa rotation attempts used to diversify the general library at
 #: sweep start; distinct paths multiply single-witness coverage.
 DIVERSIFY_ROUNDS = 12
@@ -83,11 +71,11 @@ DIVERSIFY_ROUNDS = 12
 #: generator instead.
 GRAY_ELEMENT_CAP = 80_000_000
 
-_GRAY_CACHE: dict[tuple[int, int], "np.ndarray"] = {}
+_GRAY_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _GRAY_CACHE_MAX = 8
 
 
-def gray_index_array(n: int, j: int) -> "np.ndarray":
+def gray_index_array(n: int, j: int) -> np.ndarray:
     """The full revolving-door sequence of ``j``-subsets of ``range(n)``
     as a ``(C(n, j), j)`` integer array, built by array-level recursion
     (no per-tuple Python work) and cached per ``(n, j)``.
@@ -95,8 +83,6 @@ def gray_index_array(n: int, j: int) -> "np.ndarray":
     Row ``r`` equals :func:`~repro.core.verify.exhaustive.gray_unrank`
     ``(n, j, r)`` — workers slice chunk ranges straight out of it.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("gray_index_array requires numpy")
     key = (n, j)
     hit = _GRAY_CACHE.get(key)
     if hit is not None:
@@ -172,8 +158,6 @@ class WitnessKernel:
         network: PipelineNetwork,
         universe: Sequence[Node],
         k: int,
-        *,
-        use_numpy: bool | None = None,
     ) -> None:
         from .warm import IncrementalInstanceBuilder
 
@@ -183,9 +167,6 @@ class WitnessKernel:
         self.U = len(self.universe)
         self.uindex = {v: u for u, v in enumerate(self.universe)}
         self.builder = IncrementalInstanceBuilder(network)
-        self.use_numpy = (
-            HAVE_NUMPY if use_numpy is None else bool(use_numpy and HAVE_NUMPY)
-        )
         #: universe index of each processor bit (-1: outside the universe)
         self.bit_uidx = [
             self.uindex.get(p, -1) for p in self.builder.procs
@@ -200,9 +181,8 @@ class WitnessKernel:
         self.winmask = (1 << self.win) - 1
         self.trail = [_trailing_ones(t, self.win) for t in range(1 << self.win)]
         self.lead = [_leading_ones(t, self.win) for t in range(1 << self.win)]
-        if self.use_numpy:
-            self.np_trail = np.array(self.trail, dtype=np.int8)
-            self.np_lead = np.array(self.lead, dtype=np.int8)
+        self.np_trail = np.array(self.trail, dtype=np.int8)
+        self.np_lead = np.array(self.lead, dtype=np.int8)
 
     # -- library -------------------------------------------------------
     def add_witness(self, bits: Iterable[int]) -> bool:
@@ -289,8 +269,7 @@ class WitnessKernel:
             if len(self.general) >= GENERAL_CAP:
                 return False
             self._seen.add(key)
-            if self.use_numpy:
-                self._build_np(w)
+            self._build_np(w)
             self.general.append(w)
         return True
 
@@ -380,7 +359,7 @@ class WitnessKernel:
             return True
         return w.hout_deg[pre] - f_hout >= 1 and w.tin_deg[suf] - f_tin >= 1
 
-    def _accept_np(self, w: _Witness, F: "np.ndarray") -> "np.ndarray":
+    def _accept_np(self, w: _Witness, F: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_accept_one` for a general witness over a
         ``(B, j)`` batch of universe-index rows."""
         j = F.shape[1]
@@ -426,246 +405,25 @@ class WitnessKernel:
                 return True
         return self._accept_conditional(row)
 
-    def accept_batch(self, rows) -> "list[bool] | np.ndarray":
-        """Accept mask for a batch of same-size fault-set rows.
-
-        *rows* is a ``(B, j)`` integer array (numpy path) or a sequence
-        of index tuples (fallback path); both paths return the same
-        mask for the same rows.
-        """
-        if self.use_numpy and isinstance(rows, np.ndarray):
-            B = len(rows)
-            acc = np.zeros(B, dtype=bool)
-            if rows.shape[1] == 0:
-                return acc
-            live = np.arange(B)
-            Fl = rows
-            for w in self.general:
-                if not live.size:
-                    break
-                ok = self._accept_np(w, Fl)
-                acc[live[ok]] = True
-                live = live[~ok]
-                Fl = rows[live]
-            if self.conditional and live.size:
-                leftover = Fl.tolist()
-                for idx, row in zip(live.tolist(), leftover):
-                    if self._accept_conditional(row):
-                        acc[idx] = True
+    def accept_batch(self, rows: np.ndarray) -> np.ndarray:
+        """Accept mask for a ``(B, j)`` integer array of same-size
+        fault-set rows (universe indices)."""
+        B = len(rows)
+        acc = np.zeros(B, dtype=bool)
+        if rows.shape[1] == 0:
             return acc
-        return [self.accept_row(tuple(r)) for r in rows]
-
-
-class BatchSweeper:
-    """Drives a full sweep: kernel batches with a scalar residue lane.
-
-    Size classes are processed in the caller's order; within one size
-    the revolving-door sequence is split into batches, the kernel
-    accepts what it can prove, and the residue is decided by a
-    :class:`~repro.core.verify.warm.WitnessSweeper` *in sequence order*
-    — so the first counterexample encountered is the same one the warm
-    sweep reports, and the library keeps growing from residue solves.
-    """
-
-    def __init__(
-        self,
-        network: PipelineNetwork,
-        k: int,
-        policy: SolvePolicy,
-        universe: Sequence[Node],
-        *,
-        use_numpy: bool | None = None,
-        batch_rows: int = BATCH_ROWS,
-        diversify_rounds: int = DIVERSIFY_ROUNDS,
-    ) -> None:
-        self.network = network
-        self.k = k
-        self.policy = policy
-        self.universe = list(universe)
-        self.sweeper = WitnessSweeper(network, policy)
-        self.kernel = WitnessKernel(network, universe, k, use_numpy=use_numpy)
-        self.batch_rows = batch_rows
-        self.diversify_rounds = diversify_rounds
-        self.kernel_accepted = 0
-        self.enabled = False
-        self._seeded = False
-
-    def seed(self) -> None:
-        """Solve the fault-free instance once and build the general
-        library from it (plus Pósa diversification)."""
-        if self._seeded:
-            return
-        self._seeded = True
-        status = self.sweeper.decide(())
-        if status is Status.FOUND and self.sweeper.prev_bits:
-            if self.kernel.add_witness(list(self.sweeper.prev_bits)):
-                self.enabled = True
-                if self.diversify_rounds:
-                    self.kernel.diversify(self.policy, self.diversify_rounds)
-
-    def grow(self, fault_set: tuple[Node, ...]) -> None:
-        """Offer the sweeper's latest witness to the library (residue
-        solves under processor faults become conditional witnesses)."""
-        if self.enabled and self.sweeper.prev_bits:
-            self.kernel.add_witness(list(self.sweeper.prev_bits))
-
-    def index_batches(self, j: int):
-        """Yield ``(base_rank, rows)`` batches covering the size-``j``
-        revolving-door sequence; *rows* is an array on the numpy path
-        and a list of index tuples on the fallback path."""
-        n = len(self.universe)
-        total = comb(n, j)
-        if self.kernel.use_numpy:
-            try:
-                table = gray_index_array(n, j)
-            except ValueError:
-                table = None
-            if table is not None:
-                for base in range(0, total, self.batch_rows):
-                    yield base, table[base:base + self.batch_rows]
-                return
-            it = iter_gray_indices(n, j)
-            for base in range(0, total, self.batch_rows):
-                count = min(self.batch_rows, total - base)
-                yield base, np.array(
-                    [next(it) for _ in range(count)], dtype=np.int32
-                )
-            return
-        it = iter_gray_indices(n, j)
-        for base in range(0, total, self.batch_rows):
-            count = min(self.batch_rows, total - base)
-            yield base, [next(it) for _ in range(count)]
-
-
-def verify_exhaustive_batched(
-    network: PipelineNetwork,
-    k: int | None = None,
-    policy: SolvePolicy | None = None,
-    *,
-    sizes: Iterable[int] | None = None,
-    fault_universe: Iterable[Node] | None = None,
-    stop_on_counterexample: bool = True,
-    progress: Callable[[int], None] | None = None,
-    use_numpy: bool | None = None,
-    batch_rows: int = BATCH_ROWS,
-    diversify_rounds: int = DIVERSIFY_ROUNDS,
-) -> VerificationCertificate:
-    """Batched twin of
-    :func:`repro.core.verify.warm.verify_exhaustive_warm`.
-
-    Same fault sets, same order, same verdicts and totals — but the
-    bulk of the sweep is decided by the vectorized witness kernel and
-    only the residue reaches the scalar path.  The certificate
-    description records the split.
-
-    >>> from ..constructions import build
-    >>> verify_exhaustive_batched(build(3, 2)).is_proof
-    True
-    """
-    k = network.k if k is None else k
-    policy = policy or SolvePolicy()
-    universe = sorted(
-        network.graph.nodes if fault_universe is None else fault_universe,
-        key=repr,
-    )
-    size_order = list(sizes) if sizes is not None else list(range(k + 1))
-    t0 = time.perf_counter()
-    bs = BatchSweeper(
-        network, k, policy, universe,
-        use_numpy=use_numpy, batch_rows=batch_rows,
-        diversify_rounds=diversify_rounds,
-    )
-    bs.seed()
-    sweeper = bs.sweeper
-    n = len(universe)
-    checked = tolerated = 0
-    counterexample: tuple[Node, ...] | None = None
-    undecided: list[tuple[Node, ...]] = []
-    stopped = False
-    for j in size_order:
-        if stopped or j > n:
-            continue
-        if j == 0 or not bs.enabled:
-            # scalar lane: trivial sizes, or no usable seed witness
-            for idxs in iter_gray_indices(n, j):
-                fs = tuple(universe[i] for i in idxs)
-                checked += 1
-                status = sweeper.decide(fs)
-                if status is Status.FOUND:
-                    tolerated += 1
-                    bs.grow(fs)
-                elif status is Status.UNDECIDED:
-                    undecided.append(fs)
-                else:
-                    if counterexample is None:
-                        counterexample = fs
-                    if stop_on_counterexample:
-                        stopped = True
-                        break
-                if progress is not None and checked % 1000 == 0:
-                    progress(checked)
-            continue
-        with child_span("kernel_batch", size=j):
-            for base, rows in bs.index_batches(j):
-                acc = bs.kernel.accept_batch(rows)
-                acc_list = (
-                    acc.tolist() if bs.kernel.use_numpy
-                    and isinstance(acc, np.ndarray) else list(acc)
-                )
-                n_rows = len(acc_list)
-                batch_found = 0
-                stop_at: int | None = None
-                for i, ok in enumerate(acc_list):
-                    if ok:
-                        continue
-                    fs = tuple(universe[int(x)] for x in rows[i])
-                    status = sweeper.decide(fs)
-                    if status is Status.FOUND:
-                        batch_found += 1
-                        bs.grow(fs)
-                    elif status is Status.UNDECIDED:
-                        undecided.append(fs)
-                    else:
-                        if counterexample is None:
-                            counterexample = fs
-                        if stop_on_counterexample:
-                            stop_at = i
-                            break
-                if stop_at is not None:
-                    # counterexample at in-batch index i: only the rank
-                    # prefix through it counts as checked
-                    prefix_acc = sum(acc_list[: stop_at + 1])
-                    bs.kernel_accepted += prefix_acc
-                    checked += stop_at + 1
-                    tolerated += prefix_acc + batch_found
-                    stopped = True
-                    break
-                batch_acc = sum(acc_list)
-                bs.kernel_accepted += batch_acc
-                checked += n_rows
-                tolerated += batch_acc + batch_found
-                if progress is not None:
-                    progress(checked)
-            annotate(size=j, checked=checked, accepted=bs.kernel_accepted)
-    engine = "numpy" if bs.kernel.use_numpy else "pybits"
-    annotate(
-        kernel_accepted=bs.kernel_accepted,
-        library=len(bs.kernel.general) + len(bs.kernel.conditional),
-        solver_calls=sweeper.solver_calls,
-    )
-    return VerificationCertificate(
-        mode=VerificationMode.EXHAUSTIVE,
-        k=k,
-        checked=checked,
-        tolerated=tolerated,
-        counterexample=counterexample,
-        undecided=tuple(undecided),
-        elapsed_seconds=time.perf_counter() - t0,
-        network_description=(
-            f"{network!r} [batch/{engine}: {bs.kernel_accepted} kernel + "
-            f"{sweeper.adapted} adapted + {sweeper.warm_heuristic} rotated "
-            f"+ {sweeper.solver_calls} solves for {checked} fault sets]"
-        ),
-        solver_calls=sweeper.solver_calls,
-        nodes_expanded=sweeper.nodes_expanded,
-    )
+        live = np.arange(B)
+        Fl = rows
+        for w in self.general:
+            if not live.size:
+                break
+            ok = self._accept_np(w, Fl)
+            acc[live[ok]] = True
+            live = live[~ok]
+            Fl = rows[live]
+        if self.conditional and live.size:
+            leftover = Fl.tolist()
+            for idx, row in zip(live.tolist(), leftover):
+                if self._accept_conditional(row):
+                    acc[idx] = True
+        return acc

@@ -2,12 +2,12 @@
 
 Times the three exhaustive sweep engines — cold serial
 (:func:`~repro.core.verify.exhaustive.verify_exhaustive`), warm-started
-serial (:func:`~repro.core.verify.warm.verify_exhaustive_warm`) and
-Gray-range parallel
-(:func:`~repro.core.verify.parallel.verify_exhaustive_parallel`) — over
-a fixed catalog of instances: the small standard constructions, the
-paper's four computer-checked specials and a vertex-transitive
-circulant.  Every run cross-checks the engines against each other
+serial (:func:`~repro.core.verify.warm.verify_exhaustive_warm`) and the
+Gray-range witness-kernel sweep
+(:func:`~repro.core.verify.parallel.verify_exhaustive_parallel`,
+in-process or on a worker pool) — over a fixed catalog of instances:
+the small standard constructions, the paper's four computer-checked
+specials and a vertex-transitive circulant.  Every run cross-checks the engines against each other
 (identical verdicts and multiplicity-weighted ``checked``/``tolerated``
 counts) before reporting a speedup, so a "fast" result that changed an
 answer fails loudly instead of flattering the benchmark.
@@ -19,12 +19,13 @@ Results go to ``BENCH_verify.json``; one row per (instance, mode):
 ``k``                   fault budget swept
 ``verdict``             ``"proof"`` / ``"counterexample"`` / ``"undecided"``
 ``fault_sets_checked``  multiplicity-weighted sets decided
-``wall_time_s``         sweep wall-clock seconds
+``wall_time_s``         sweep wall-clock seconds, median of
+                        :data:`REPEATS` runs
 ``fault_sets_per_sec``  checked / wall — the throughput headline
 ``solver_calls``        exact-solver invocations (< checked when warm)
 ``nodes_expanded``      total search nodes across those calls
 ``adapted``             sets decided by witness splicing alone
-``kernel_accepted``     sets decided by the batched bitmask kernel
+``kernel_accepted``     sets decided by the witness kernel
 ``speedup_vs_cold``     cold wall time / this mode's wall time
 ``parallel_vs_warm``    warm wall time / parallel wall time (parallel rows)
 
@@ -63,7 +64,7 @@ def _ring_instance() -> PipelineNetwork:
 
 def _big_ring(m: int, k: int, offsets: tuple[int, ...]) -> PipelineNetwork:
     """A circulant ring like :func:`demo_ring_network` but with a chosen
-    fault budget *k* — the scale tier where the batched kernel's
+    fault budget *k* — the scale tier where the witness kernel's
     bit-parallelism dominates the per-set warm loop."""
     import networkx as nx
 
@@ -87,7 +88,7 @@ def _big_ring(m: int, k: int, offsets: tuple[int, ...]) -> PipelineNetwork:
 
 #: the full catalog: standard constructions G(1,k)/G(2,k)/G(3,k) at k=2,
 #: the paper's four specials, a vertex-transitive circulant, and two big
-#: k=3 circulants sized so only the batched kernel finishes quickly.
+#: k=3 circulants sized so only the witness kernel finishes quickly.
 CATALOG: tuple[tuple[str, Callable[[], PipelineNetwork]], ...] = (
     ("G(1,2)", lambda: build_g1k(2)),
     ("G(2,2)", lambda: build(2, 2)),
@@ -108,13 +109,18 @@ BIG_INSTANCES: frozenset[str] = frozenset(
 )
 
 #: quick subset for the CI smoke gate: one construction, two specials,
-#: and one instance big enough to exercise the batched-kernel dispatch.
+#: and one instance big enough for automatic dispatch to fork a pool.
 SMOKE_CATALOG: tuple[str, ...] = (
     "G(3,2)",
     "G(6,2)",
     "G(4,3)",
     "ring-C16(1,2)k3",
 )
+
+
+#: timed runs per (instance, engine); a row reports the median run, so
+#: one scheduler stall cannot set a millisecond-scale row.
+REPEATS = 3
 
 
 def _verdict(cert: VerificationCertificate) -> str:
@@ -142,8 +148,31 @@ def _adapted(cert: VerificationCertificate) -> int:
 
 
 def _kernel_accepted(cert: VerificationCertificate) -> int:
-    """Batched-bitmask-kernel accept count, from the description."""
+    """Witness-kernel accept count, from the description."""
     return _desc_count(cert, "kernel")
+
+
+def _median_run(
+    sweep: Callable[[], VerificationCertificate],
+    tracer: Tracer | None = None,
+    **attrs,
+) -> tuple[VerificationCertificate, float, dict | None]:
+    """Run *sweep* :data:`REPEATS` times; the certificate, wall time and
+    phase breakdown (traced runs only) of the median-time run."""
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        if tracer is None:
+            cert = sweep()
+        else:
+            with tracer.span("sweep", **attrs):
+                cert = sweep()
+        wall = time.perf_counter() - t0
+        phases = phase_breakdown(tracer.drain()) if tracer else None
+        runs.append((wall, cert, phases))
+    runs.sort(key=lambda run: run[0])
+    wall, cert, phases = runs[len(runs) // 2]
+    return cert, wall, phases
 
 
 def _row(
@@ -191,7 +220,8 @@ def run_bench(
     progress: Callable[[str], None] | None = None,
 ) -> dict:
     """Benchmark every requested catalog instance across all three
-    engines; returns the ``BENCH_verify.json`` payload.
+    engines, each timed as the median of :data:`REPEATS` runs; returns
+    the ``BENCH_verify.json`` payload.
 
     Raises :class:`~repro.errors.VerificationError` when any engine
     disagrees with the cold sweep on verdict or counts — a benchmark
@@ -216,21 +246,19 @@ def run_bench(
             progress(name)
         cold = cold_wall = None
         if name not in BIG_INSTANCES:
-            t0 = time.perf_counter()
-            cold = verify_exhaustive(network, policy=policy)
-            cold_wall = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        with tracer.span("sweep", instance=name, mode="warm"):
-            warm = verify_exhaustive_warm(network, policy=policy)
-        warm_wall = time.perf_counter() - t0
-        warm_phases = phase_breakdown(tracer.drain())
-        t0 = time.perf_counter()
-        with tracer.span("sweep", instance=name, mode="parallel"):
-            par = verify_exhaustive_parallel(
-                network, policy=policy, workers=workers
+            cold, cold_wall, _ = _median_run(
+                lambda: verify_exhaustive(network, policy=policy)
             )
-        par_wall = time.perf_counter() - t0
-        par_phases = phase_breakdown(tracer.drain())
+        warm, warm_wall, warm_phases = _median_run(
+            lambda: verify_exhaustive_warm(network, policy=policy),
+            tracer, instance=name, mode="warm",
+        )
+        par, par_wall, par_phases = _median_run(
+            lambda: verify_exhaustive_parallel(
+                network, policy=policy, workers=workers
+            ),
+            tracer, instance=name, mode="parallel",
+        )
         reference = cold if cold is not None else warm
         ref_name = "cold" if cold is not None else "warm"
         for mode, cert in (("warm", warm), ("parallel", par)):
@@ -306,20 +334,15 @@ def smoke_regressions(
 
     * the warm sweep must not run more than *tolerance* slower than the
       cold reference (keeps the warm path from quietly rotting);
-    * above the parallel dispatch threshold, the parallel sweep must not
-      run more than *tolerance* slower than warm — the batched kernel's
-      whole reason to exist is beating the per-set warm loop, so losing
-      to it is a regression, not noise.
+    * the parallel sweep must not run more than *tolerance* slower than
+      warm — the witness kernel's whole reason to exist is beating the
+      per-set warm loop, so losing to it is a regression, not noise.
 
     *slack_s* is an absolute allowance on top of the relative tolerance:
     the millisecond-scale instances sit well inside scheduler noise (a
     single ~20 ms stall lands on a random row), so only overruns that
     clear both the ratio and the absolute slack count as regressions.
     """
-    # local import: parallel imports this module's sibling, keep the
-    # threshold constant single-sourced without a cycle at import time
-    from .parallel import DISPATCH_THRESHOLD
-
     cold_by_instance = {
         r["instance"]: r["wall_time_s"]
         for r in payload["rows"]
@@ -342,15 +365,12 @@ def smoke_regressions(
                     f"cold {cold_wall:.4f}s"
                 )
         elif row["mode"] == "parallel":
-            if row["fault_sets_checked"] < DISPATCH_THRESHOLD:
-                continue
             warm_wall = warm_by_instance.get(row["instance"])
             if warm_wall and row["wall_time_s"] > (
                 warm_wall * (1 + tolerance) + slack_s
             ):
                 bad.append(
                     f"{row['instance']}: parallel {row['wall_time_s']:.4f}s "
-                    f"vs warm {warm_wall:.4f}s "
-                    f"(above dispatch threshold {DISPATCH_THRESHOLD})"
+                    f"vs warm {warm_wall:.4f}s"
                 )
     return bad

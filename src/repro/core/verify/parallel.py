@@ -1,76 +1,76 @@
-"""Process-parallel exhaustive verification over shared-memory workers.
+"""Exhaustive verification on the witness kernel: one chunk worker, run
+in-process or on a pool of shared-memory workers.
 
-The sweep's fault-set space shards cleanly, but the PR-7 pool shipped
-every chunk as a pickled list of fault sets and was *slower* than the
-serial warm sweep on every benchmarked instance — dispatch overhead,
-not algorithm.  This rewrite removes the overhead at both ends:
+Every kernel sweep goes through :func:`verify_exhaustive_parallel`.  The
+parent solves the fault-free instance once and diversifies its path
+into a library of general witnesses (:mod:`repro.core.verify.batch`).
+The sweep is then cut into **index-range chunks**: ``("range", seq,
+size, start_rank, count, seed_witness)`` addresses a contiguous range
+of the revolving-door sequence
+(:func:`~repro.core.verify.exhaustive.gray_unrank` makes any rank
+reachable), so no fault set and no instance is ever pickled.
+:class:`_SweepWorker` decides a chunk: the vectorized witness kernel
+accepts what it can prove, and a
+:class:`~repro.core.verify.warm.WitnessSweeper` decides the residue
+exactly, in rank order, growing the library as it solves.
 
-* **Index-range chunks.**  A chunk is ``(size, start_rank, count,
-  seed_witness)``: four integers addressing a contiguous range of the
-  revolving-door sequence (:func:`~repro.core.verify.exhaustive.gray_unrank`
-  makes any rank reachable in O(n)).  No fault sets, no
-  ``SpanningPathInstance`` pickles ever cross the pipe.
-* **Persistent shared-memory workers.**  The bulk read-only tables —
-  revolving-door index arrays, adjacency bitmask rows, start/end
-  attachment masks — are packed once into a
-  :class:`~repro.core.verify.shm.SharedSweepContext`; workers attach at
-  startup and map views straight onto the segment
-  (:mod:`repro.core.verify.shm` also documents the no-shm fallback).
-* **Batched bitmask kernel in every worker.**  Each worker accepts the
-  bulk of its range with the vectorized witness kernel
-  (:mod:`repro.core.verify.batch`) and runs the scalar warm path only
-  on the residue, so one dispatch covers thousands of fault sets.
+Only the executor differs:
 
-Three layers of work-avoidance still compose above that:
+* **in-process** (:class:`_InProcessPool`): one worker state in the
+  caller's process, slicing the cached revolving-door tables directly.
+  ``workers=1`` runs here, and so does ``workers=None`` below
+  :data:`POOL_MIN_SETS` fault sets or with one usable CPU.
+* **pool** (:class:`~repro.core.verify.shm.ShmWorkerPool`): persistent
+  forked workers that attach once to a
+  :class:`~repro.core.verify.shm.SharedSweepContext` holding the tables,
+  so a dispatch carries no table data.  A worker dying mid-chunk has
+  its ranges requeued on the survivors, and the parent unlinks the
+  segment exactly once in a ``finally``.
 
-* **Dispatch thresholds**: sweeps under :data:`DISPATCH_THRESHOLD`
-  fault sets auto-fall back to the serial warm path (``workers=None``),
-  and sweeps under :data:`POOL_MIN_SETS` run the batch kernel
-  in-process instead of paying pool startup — ``parallel`` never loses
-  to ``warm`` by dispatch overhead again.  An *explicit* ``workers``
-  count is always honored (the trace tests pin real worker spans).
+Both share one fold loop, one certificate and one description.  Two
+options shape the chunks:
+
+* **Adaptive chunking**: chunk sizes resize from an EWMA of measured
+  per-set cost targeting ~100 ms per chunk; an explicit ``chunk_size``
+  pins them.
 * **Symmetry sharding** (opt-in, ``symmetry="auto"``): when the
   automorphism group is nontrivial, orbit representatives are sharded
   as explicit ``(fault_set, multiplicity)`` items (orbit reps are not
   contiguous in rank space) and verdicts are weighted so certificates
   match the full sweep.  It is off by default: the parent enumerates
-  the group and the representatives before any worker starts, and the
-  item path never seeds the batch kernel.  On a 2-CPU x86_64 host
+  the group and the representatives before any chunk runs, and the
+  item path never seeds the kernel.  On a 2-CPU x86_64 host
   ring-C16(1,2) k=3 took 1.06 s that way against 0.18 s for the default
   Gray-range sweep, and ring-C32(1,2,3) k=2 took 1.85 s against 0.08 s.
-* **Adaptive chunking**: chunk sizes resize from an EWMA of measured
-  per-set cost targeting ~100 ms per chunk; an explicit ``chunk_size``
-  pins them.
 
-Worker crash recovery lives in
-:class:`~repro.core.verify.shm.ShmWorkerPool`: a worker dying mid-chunk
-has its in-flight ranges requeued on the survivors, and the parent
-unlinks the shared segment exactly once in a ``finally``.  Results are
-deterministic and identical to the serial sweep (asserted in the test
-suite), modulo *which* counterexample is reported when several exist.
+Results are identical to the serial sweep (asserted in the test suite),
+modulo *which* counterexample is reported when several exist and pool
+chunks finish out of rank order.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
+from collections import deque
 from itertools import islice
 from math import comb
 from typing import Callable, Hashable, Iterable
 
+import numpy as np
+
+from ..._util import usable_cpus
 from ...errors import InvalidParameterError
 from ...obs.spans import (
-    SpanContext,
     annotate,
     current_context,
     current_tracer,
     make_span_dict,
 )
-from ..hamilton import SolvePolicy, SpanningPathInstance, Status, solve
+from ..hamilton import SolvePolicy, Status
 from ..model import PipelineNetwork
-from .batch import WitnessKernel, verify_exhaustive_batched
+from .batch import WitnessKernel, gray_index_array
 from .certificates import VerificationCertificate, VerificationMode
-from .exhaustive import iter_fault_sets_gray, iter_gray_indices, verify_exhaustive
+from .exhaustive import iter_gray_indices
 from .shm import AttachedSweepContext, SharedSweepContext, ShmWorkerPool
 from .symmetry import (
     DEFAULT_GROUP_CAP,
@@ -78,17 +78,13 @@ from .symmetry import (
     enumerate_group,
     orbit_representatives,
 )
-from .warm import WitnessSweeper, verify_exhaustive_warm
+from .warm import WitnessSweeper
 
 Node = Hashable
 
-#: sweeps smaller than this auto-fall back to the serial warm path when
-#: ``workers`` is left unset — below it, even in-process batching cannot
-#: amortize its setup against the handful of fault sets.
-DISPATCH_THRESHOLD = 256
-#: sweeps smaller than this run the batch kernel in-process rather than
-#: paying worker-pool startup (``workers=None`` only; an explicit
-#: ``workers`` count always gets its pool).
+#: sweeps smaller than this run in-process rather than paying
+#: worker-pool startup (``workers=None`` only; an explicit ``workers``
+#: count always gets its pool).
 POOL_MIN_SETS = 4096
 #: adaptive chunking aims for this much work per chunk: long enough to
 #: amortize dispatch, short enough for load balance and prompt
@@ -103,48 +99,43 @@ EWMA_ALPHA = 0.3
 
 
 class _SweepWorker:
-    """Worker body for :class:`~repro.core.verify.shm.ShmWorkerPool`.
+    """Chunk worker body for :class:`_InProcessPool` and
+    :class:`~repro.core.verify.shm.ShmWorkerPool`.
 
-    ``init`` runs once per worker process: attach the shared segment,
-    rebuild the witness kernel from the shipped general witnesses, and
-    sanity-check the segment's adjacency rows against the network the
-    kernel derived locally.  ``run`` decides one chunk — an index range
-    (``"range"``) or a list of weighted orbit representatives
-    (``"items"``) — and returns a flat counter tuple plus a finished
-    per-chunk span dict.
+    ``init`` runs once per executor: attach the shared segment (pool
+    only), rebuild the witness kernel from the parent's general
+    witnesses, and sanity-check the segment's adjacency rows against the
+    network the kernel derived locally.  ``run`` decides one chunk — an
+    index range (``"range"``) or a list of weighted orbit
+    representatives (``"items"``) — and returns a flat counter tuple
+    plus a finished per-chunk span dict.
     """
 
     class _State:
         __slots__ = (
-            "network", "policy", "warm", "trace_ctx", "universe", "n",
-            "sweeper", "kernel", "attached", "witnesses", "verdicts",
+            "trace_ctx", "universe", "n", "stop", "sweeper", "kernel",
+            "attached", "witnesses", "verdicts",
         )
 
     @staticmethod
     def init(wid: int, args: tuple) -> "_SweepWorker._State":
-        (network, policy, warm, trace_ctx, spec, universe, k,
-         witnesses, group) = args
+        (network, policy, trace_ctx, spec, universe, k, witnesses, group,
+         stop) = args
         st = _SweepWorker._State()
-        st.network = network
-        st.policy = policy
-        st.warm = warm
         st.trace_ctx = trace_ctx
         st.universe = universe
         st.n = len(universe)
+        st.stop = stop
         st.attached = AttachedSweepContext(spec) if spec is not None else None
         st.witnesses = witnesses or []
-        st.sweeper = (
-            WitnessSweeper(
-                network,
-                policy,
-                seed_bits=st.witnesses[0] if st.witnesses else None,
-            )
-            if warm
-            else None
+        st.sweeper = WitnessSweeper(
+            network,
+            policy,
+            seed_bits=st.witnesses[0] if st.witnesses else None,
         )
         st.verdicts = CanonicalVerdictCache(group) if group else None
         st.kernel = None
-        if warm and st.witnesses:
+        if st.witnesses:
             kernel = WitnessKernel(network, universe, k)
             for bits in st.witnesses:
                 kernel.add_witness(bits)
@@ -168,12 +159,6 @@ class _SweepWorker:
         return _SweepWorker._run_items(st, seq, items)
 
     @staticmethod
-    def _decide_cold(st, fault_set):
-        inst = SpanningPathInstance(st.network.surviving(fault_set))
-        report = solve(inst, st.policy)
-        return report.status, 1, report.nodes_expanded
-
-    @staticmethod
     def _span(st, seq, elapsed, n_items, solver_calls, adapted):
         if st.trace_ctx is None:
             return None
@@ -190,78 +175,70 @@ class _SweepWorker:
         )
 
     @staticmethod
+    def _rows(st, j, start, count) -> np.ndarray:
+        """Ranks ``[start, start+count)`` of the size-*j* revolving-door
+        sequence as universe-index rows: a slice of the shared segment's
+        table in a pool worker, of the cached table in-process, unranked
+        on the fly above the table's element cap."""
+        table = st.attached.gray(j) if st.attached is not None else None
+        if table is None and j:
+            try:
+                table = gray_index_array(st.n, j)
+            except ValueError:
+                pass  # above the element cap
+        if table is None:
+            rows = list(iter_gray_indices(st.n, j, start, count))
+            return np.array(rows, dtype=np.int32).reshape(len(rows), j)
+        return table[start : start + count]
+
+    @staticmethod
     def _run_range(st, seq, j, start, count, seed_wid):
         """Decide ranks ``[start, start+count)`` of the size-*j*
-        revolving-door sequence, kernel first, scalar residue in rank
-        order (so a counterexample truncates at the exact rank)."""
+        revolving-door sequence, kernel first, residue in rank order (so
+        a stopping counterexample truncates at its exact rank)."""
         t0 = time.perf_counter()
         sweeper = st.sweeper
-        base = (
-            (sweeper.solver_calls, sweeper.nodes_expanded, sweeper.adapted)
-            if sweeper is not None
-            else (0, 0, 0)
-        )
-        if (
-            sweeper is not None
-            and sweeper.prev_bits is None
-            and seed_wid < len(st.witnesses)
-        ):
+        base = (sweeper.solver_calls, sweeper.nodes_expanded, sweeper.adapted)
+        if sweeper.prev_bits is None and seed_wid < len(st.witnesses):
             # warm-start the first residue solve from the chunk's
             # designated seed witness (normally already set at init)
             sweeper.prev_bits = list(st.witnesses[seed_wid])
-        table = st.attached.gray(j) if st.attached is not None else None
-        if table is not None:
-            rows = table[start : start + count]
-        else:
-            rows = list(iter_gray_indices(st.n, j, start, count))
+        rows = _SweepWorker._rows(st, j, start, count)
         kernel = st.kernel if j > 0 else None
         if kernel is not None:
             acc = kernel.accept_batch(rows)
-            acc_list = acc if isinstance(acc, list) else acc.tolist()
         else:
-            acc_list = [False] * len(rows)
+            acc = np.zeros(len(rows), dtype=bool)
         universe = st.universe
-        checked = tolerated = kernel_acc = solver_calls = nodes = 0
+        checked = len(rows)
+        found = 0
         counterexample = None
         undecided: list[tuple] = []
-        for i, ok in enumerate(acc_list):
-            checked += 1
-            if ok:
-                tolerated += 1
-                kernel_acc += 1
-                continue
-            fault_set = tuple(universe[int(x)] for x in rows[i])
-            if sweeper is not None:
-                status = sweeper.decide(fault_set)
-                if kernel is not None and sweeper.prev_bits:
-                    kernel.add_witness(list(sweeper.prev_bits))
-            else:
-                status, calls, expanded = _SweepWorker._decide_cold(
-                    st, fault_set
-                )
-                solver_calls += calls
-                nodes += expanded
+        for i in np.flatnonzero(~acc).tolist():
+            fault_set = tuple(universe[x] for x in rows[i].tolist())
+            status = sweeper.decide(fault_set)
+            if kernel is not None and sweeper.prev_bits:
+                kernel.add_witness(sweeper.prev_bits)
             if status is Status.FOUND:
-                tolerated += 1
+                found += 1
             elif status is Status.UNDECIDED:
                 undecided.append(fault_set)
-            else:
+            elif counterexample is None:
                 counterexample = fault_set
-                break
-        if sweeper is not None:
-            solver_calls = sweeper.solver_calls - base[0]
-            nodes = sweeper.nodes_expanded - base[1]
-            adapted = sweeper.adapted - base[2]
-        else:
-            adapted = 0
+                if st.stop:
+                    checked = i + 1
+                    break
+        kernel_acc = int(acc[:checked].sum())
+        solver_calls = sweeper.solver_calls - base[0]
+        adapted = sweeper.adapted - base[2]
         elapsed = time.perf_counter() - t0
         span = _SweepWorker._span(
             st, seq, elapsed, len(rows), solver_calls, adapted
         )
         return (
-            checked, tolerated, counterexample, undecided,
-            solver_calls, nodes, adapted, kernel_acc,
-            elapsed, len(rows), span,
+            checked, kernel_acc + found, counterexample, undecided,
+            solver_calls, sweeper.nodes_expanded - base[1], adapted,
+            kernel_acc, elapsed, len(rows), span,
         )
 
     @staticmethod
@@ -270,30 +247,15 @@ class _SweepWorker:
         representatives (the symmetry-sharded mode)."""
         t0 = time.perf_counter()
         sweeper = st.sweeper
-        base = (
-            (sweeper.solver_calls, sweeper.nodes_expanded, sweeper.adapted)
-            if sweeper is not None
-            else (0, 0, 0)
-        )
-        checked = tolerated = solver_calls = nodes = 0
+        base = (sweeper.solver_calls, sweeper.nodes_expanded, sweeper.adapted)
+        checked = tolerated = 0
         counterexample = None
         undecided: list[tuple] = []
         for fault_set, mult in items:
             checked += mult
-            cached = (
-                st.verdicts.get(fault_set) if st.verdicts is not None else None
-            )
-            if cached is not None:
-                status = cached
-            elif sweeper is not None:
+            status = st.verdicts.get(fault_set)
+            if status is None:
                 status = sweeper.decide(fault_set)
-            else:
-                status, calls, expanded = _SweepWorker._decide_cold(
-                    st, fault_set
-                )
-                solver_calls += calls
-                nodes += expanded
-            if st.verdicts is not None and cached is None:
                 st.verdicts.put(fault_set, status)
             if status is Status.FOUND:
                 tolerated += mult
@@ -301,19 +263,15 @@ class _SweepWorker:
                 undecided.extend([fault_set] * mult)
             elif counterexample is None:
                 counterexample = fault_set
-        if sweeper is not None:
-            solver_calls = sweeper.solver_calls - base[0]
-            nodes = sweeper.nodes_expanded - base[1]
-            adapted = sweeper.adapted - base[2]
-        else:
-            adapted = 0
+        solver_calls = sweeper.solver_calls - base[0]
+        adapted = sweeper.adapted - base[2]
         elapsed = time.perf_counter() - t0
         span = _SweepWorker._span(
             st, seq, elapsed, len(items), solver_calls, adapted
         )
         return (
             checked, tolerated, counterexample, undecided,
-            solver_calls, nodes, adapted, 0,
+            solver_calls, sweeper.nodes_expanded - base[1], adapted, 0,
             elapsed, len(items), span,
         )
 
@@ -321,6 +279,29 @@ class _SweepWorker:
     def close(st) -> None:
         if st.attached is not None:
             st.attached.close()
+
+
+class _InProcessPool:
+    """:class:`~repro.core.verify.shm.ShmWorkerPool`'s ``submit`` /
+    ``get`` / ``close`` / ``kill`` over one worker state in the calling
+    process: :meth:`get` runs the oldest submitted chunk."""
+
+    def __init__(self, worker_body, init_args: tuple) -> None:
+        self._body = worker_body
+        self._state = worker_body.init(0, init_args)
+        self._tasks: deque[tuple] = deque()
+
+    def submit(self, task: tuple) -> None:
+        self._tasks.append(task)
+
+    def get(self) -> tuple:
+        task = self._tasks.popleft()
+        return task[1], self._body.run(self._state, task)
+
+    def close(self) -> None:
+        self._body.close(self._state)
+
+    kill = close
 
 
 def _clamp_chunk(size: float) -> int:
@@ -338,30 +319,27 @@ def verify_exhaustive_parallel(
     fault_universe: Iterable[Node] | None = None,
     symmetry: bool | str = False,
     group_cap: int = DEFAULT_GROUP_CAP,
-    warm: bool = True,
     stop_on_counterexample: bool = True,
     progress: Callable[[int], None] | None = None,
     _fault_spec: dict | None = None,
 ) -> VerificationCertificate:
-    """Parallel twin of
+    """The exhaustive sweep on the witness kernel: the same fault sets
+    and the same certificate as
     :func:`repro.core.verify.exhaustive.verify_exhaustive`.
 
-    ``workers=None`` picks an engine by estimated sweep size: below
-    :data:`DISPATCH_THRESHOLD` the serial warm sweep (dispatch of any
-    kind would dominate), below :data:`POOL_MIN_SETS` the in-process
-    batch kernel, above it one shared-memory worker per CPU.  An
-    explicit ``workers`` count is honored as given; ``workers=1`` with a
-    small sweep uses the serial path directly.  ``chunk_size=None``
-    sizes index-range chunks adaptively from the measured solve cost; an
+    ``workers=None`` runs the chunks in-process below
+    :data:`POOL_MIN_SETS` estimated fault sets or on one usable CPU, and
+    on one shared-memory worker per usable CPU otherwise.  An explicit
+    ``workers`` count is honored as given: ``1`` runs in-process, ``N >=
+    2`` forks a pool even on one CPU.  ``chunk_size=None`` sizes
+    index-range chunks adaptively from the measured per-set cost; an
     explicit integer pins the size.  ``symmetry=False`` (the default)
-    sweeps Gray-code rank ranges through the batch kernel.
+    sweeps Gray-code rank ranges through the kernel.
     ``symmetry="auto"`` instead shards automorphism-orbit
     representatives (weighted by multiplicity) when the group is small
     enough to enumerate and nontrivial, and ``True`` requires it
     (raising if the group exceeds *group_cap*); both pay the group and
-    orbit enumeration in the parent first.  ``warm=False`` runs every
-    fault set through the cold exact solver (no kernel, no witness
-    reuse: ``solver_calls == checked``).  ``progress`` is invoked with
+    orbit enumeration in the parent first.  ``progress`` is invoked with
     the running multiplicity-weighted check count as chunks complete.
 
     ``_fault_spec`` is test-only: it is forwarded to
@@ -383,44 +361,10 @@ def verify_exhaustive_parallel(
         j for j in (list(sizes) if sizes is not None else range(k + 1))
         if j <= n
     ]
-    est_sets = sum(comb(n, j) for j in size_order)
-
-    def serial():
-        engine = verify_exhaustive_warm if warm else verify_exhaustive
-        return engine(
-            network,
-            k,
-            policy,
-            sizes=sizes,
-            fault_universe=fault_universe,
-            stop_on_counterexample=stop_on_counterexample,
-            progress=progress,
-        )
-
-    def in_process_batched():
-        return verify_exhaustive_batched(
-            network,
-            k,
-            policy,
-            sizes=sizes,
-            fault_universe=fault_universe,
-            stop_on_counterexample=stop_on_counterexample,
-            progress=progress,
-        )
-
     if workers is None:
-        if est_sets < DISPATCH_THRESHOLD:
-            return serial()  # dispatch overhead would dominate: stay warm
-        if est_sets < POOL_MIN_SETS or multiprocessing.cpu_count() <= 1:
-            if warm:
-                return in_process_batched()
-            workers = multiprocessing.cpu_count()
-        else:
-            workers = multiprocessing.cpu_count()
-    if workers <= 1:
-        if warm and est_sets >= DISPATCH_THRESHOLD:
-            return in_process_batched()
-        return serial()
+        est_sets = sum(comb(n, j) for j in size_order)
+        workers = usable_cpus() if est_sets >= POOL_MIN_SETS else 1
+    workers = max(workers, 1)
 
     t0 = time.perf_counter()
 
@@ -440,7 +384,7 @@ def verify_exhaustive_parallel(
     # diversification gives every worker the same general library
     witnesses: list[list[int]] = []
     parent_solver_calls = parent_nodes = 0
-    if warm and group is None:
+    if group is None:
         seed_sweeper = WitnessSweeper(network, policy)
         if (
             seed_sweeper.decide(()) is Status.FOUND
@@ -453,9 +397,11 @@ def verify_exhaustive_parallel(
         parent_solver_calls = seed_sweeper.solver_calls
         parent_nodes = seed_sweeper.nodes_expanded
 
+    # only pool workers read the tables through a shared segment; the
+    # in-process executor slices the parent's cached tables directly
     shared: SharedSweepContext | None = None
     spec = None
-    if group is None:
+    if group is None and workers > 1:
         shared = SharedSweepContext.create(network, universe, k, size_order)
         spec = shared.spec()
 
@@ -505,13 +451,14 @@ def verify_exhaustive_parallel(
     chunks_done = 0
     killed = False
 
-    pool = ShmWorkerPool(
-        workers,
-        _SweepWorker,
-        (network, policy, warm, trace_ctx, spec, universe, k,
-         witnesses, group),
-        fault_spec=_fault_spec,
-    )
+    init_args = (network, policy, trace_ctx, spec, universe, k,
+                 witnesses, group, stop_on_counterexample)
+    if workers > 1:
+        pool = ShmWorkerPool(
+            workers, _SweepWorker, init_args, fault_spec=_fault_spec
+        )
+    else:
+        pool = _InProcessPool(_SweepWorker, init_args)
     try:
         def submit() -> bool:
             nonlocal outstanding
@@ -578,7 +525,6 @@ def verify_exhaustive_parallel(
         if group is not None
         else "gray ranges over"
     )
-    mode = "warm" if warm else "cold"
     # dispatch accounting on the caller's active span (if any): how many
     # chunks ran and how the adaptive sizing settled — the numbers needed
     # to explain parallel overhead vs. the serial warm sweep
@@ -599,7 +545,7 @@ def verify_exhaustive_parallel(
         undecided=tuple(undecided),
         elapsed_seconds=time.perf_counter() - t0,
         network_description=(
-            f"{network!r} [parallel x{workers} {mode}: {shard} "
+            f"{network!r} [parallel x{workers}: {shard} "
             f"{checked} fault sets, {kernel_accepted} kernel + "
             f"{adapted} adapted + {solver_calls} solves]"
         ),

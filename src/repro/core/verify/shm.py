@@ -1,20 +1,20 @@
 """Persistent shared-memory workers for the parallel sweep.
 
-The PR-7 pool shipped every chunk as a pickled list of fault sets and
-paid per-task dispatch that dwarfed the actual verification work on
-most instances.  This module replaces it with two pieces:
+A pool sweep pays two kinds of overhead that are not verification
+work: shipping the sweep's tables to each worker, and shipping each
+chunk.  This module keeps both small with two pieces:
 
 * :class:`SharedSweepContext` — a single ``multiprocessing.shared_memory``
   segment, packed once by the parent, holding the sweep's bulk read-only
   tables: the revolving-door index arrays per fault-set size (the
   address space of the chunk protocol), the network's flat adjacency
-  bitmask rows (the input of the flat Held-Karp tables and the batch
+  bitmask rows (the input of the flat Held-Karp tables and the witness
   kernel's bridge chords), and the start/end attachment masks.  Workers
   attach once at startup and map numpy views straight onto the buffer —
   a chunk dispatch carries **no** per-task table data at all.  Where the
-  platform has no usable shared memory (or numpy is absent, making the
-  index arrays moot) the same payload travels once through the worker
-  initializer as plain bytes: identical semantics, one copy per worker.
+  platform has no usable shared memory the same payload travels once
+  through the worker initializer as plain bytes: identical semantics,
+  one copy per worker.
 
 * :class:`ShmWorkerPool` — a deliberately small process pool: one task
   queue per worker (so in-flight work of a dead worker can be re-queued
@@ -27,10 +27,11 @@ most instances.  This module replaces it with two pieces:
   sequence number, so a worker that dies *after* answering cannot
   double-count either.
 
-Chunks themselves are ``(size, start_rank, count, seed_witness)``
-quadruples — see :mod:`repro.core.verify.parallel` for the dispatcher
-and :func:`repro.core.verify.exhaustive.gray_unrank` for why any rank
-range is addressable in O(count).
+Chunks themselves are Gray-rank ranges — see
+:mod:`repro.core.verify.parallel` for the dispatcher, which runs the
+same chunk worker in-process when a pool would not pay for itself, and
+:func:`repro.core.verify.exhaustive.gray_unrank` for why any rank range
+is addressable.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ import queue as _queue
 from math import comb
 from typing import Any, Hashable, Sequence
 
+import numpy as np
+
 from ...errors import VerificationError
 from ..model import PipelineNetwork
-from .batch import GRAY_ELEMENT_CAP, HAVE_NUMPY, gray_index_array
-
-if HAVE_NUMPY:  # pragma: no branch
-    import numpy as np
+from .batch import GRAY_ELEMENT_CAP, gray_index_array
 
 try:
     from multiprocessing import shared_memory as _shared_memory
@@ -102,8 +102,7 @@ class SharedSweepContext:
     ) -> "SharedSweepContext":
         """Pack the sweep's read-only tables for *network* over the
         repr-sorted *universe*: adjacency mask rows, start/end masks and
-        (numpy only) the revolving-door index array for each swept
-        size."""
+        the revolving-door index array for each swept size."""
         from .warm import IncrementalInstanceBuilder
 
         builder = IncrementalInstanceBuilder(network)
@@ -130,16 +129,15 @@ class SharedSweepContext:
             (rowbytes,),
         )
         n = len(universe)
-        if HAVE_NUMPY:
-            for j in sorted({s for s in sizes if s >= 1}):
-                if j > n or comb(n, j) * j > GRAY_ELEMENT_CAP:
-                    continue  # above the element cap: workers unrank
-                table = gray_index_array(n, j)
-                pack(
-                    f"gray:{j}",
-                    table.tobytes(),
-                    (str(table.dtype), table.shape[0], table.shape[1]),
-                )
+        for j in sorted({s for s in sizes if s >= 1}):
+            if j > n or comb(n, j) * j > GRAY_ELEMENT_CAP:
+                continue  # above the element cap: workers unrank
+            table = gray_index_array(n, j)
+            pack(
+                f"gray:{j}",
+                table.tobytes(),
+                (str(table.dtype), table.shape[0], table.shape[1]),
+            )
         payload = b"".join(parts)
         shm = None
         if use_shm is None:
@@ -223,12 +221,12 @@ class AttachedSweepContext:
             int.from_bytes(blob[rowbytes:], "little"),
         )
 
-    def gray(self, j: int) -> "np.ndarray | None":
+    def gray(self, j: int) -> np.ndarray | None:
         """The size-*j* revolving-door index array mapped straight onto
         the shared buffer (no copy), or ``None`` when it was not packed
-        (no numpy, or above the element cap)."""
+        (size 0, or above the element cap)."""
         entry = self.raw(f"gray:{j}")
-        if entry is None or not HAVE_NUMPY:
+        if entry is None:
             return None
         blob, (dtype, rows, cols) = entry
         arr = np.frombuffer(blob, dtype=np.dtype(dtype), count=rows * cols)

@@ -45,13 +45,16 @@ class TestWorkerPropagation:
 
     def test_serial_fallback_still_traced(self):
         tracer = Tracer()
-        with tracer.span("sweep"):
+        with tracer.span("sweep") as root:
             cert = verify_exhaustive_parallel(build(2, 2), workers=1)
         assert cert.is_proof
-        # workers=1 short-circuits to the serial warm sweep; its solver
-        # child spans still land on the active trace
-        names = {s["name"] for s in tracer.spans()}
-        assert "sweep" in names
+        # workers=1 runs the chunks in-process; their spans still land
+        # on the active trace, parented like a pool worker's
+        spans = tracer.spans()
+        chunk_spans = [s for s in spans if s["name"] == "verify_chunk"]
+        assert chunk_spans
+        assert all(s["parent_id"] == root.span_id for s in chunk_spans)
+        assert "sweep" in {s["name"] for s in spans}
 
 
 PROBE = textwrap.dedent(

@@ -1,11 +1,12 @@
-"""Tests for the batched bitmask verification kernel: Gray-code rank
-addressing, witness-kernel soundness, batched/warm certificate
-equivalence, numpy/pure-Python parity, and the dispatch fallback."""
+"""Tests for the witness kernel and the sweep that drives it: Gray-code
+rank addressing, witness-kernel soundness, the vectorized tier against
+its scalar oracle, in-process/warm certificate equivalence, and
+dispatch."""
 
-from itertools import islice
 from math import comb
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.constructions import build, build_special
@@ -14,11 +15,13 @@ from repro.core.model import PipelineNetwork
 from repro.core.verify import (
     gray_unrank,
     iter_gray_indices,
-    verify_exhaustive_batched,
+    verify_exhaustive,
     verify_exhaustive_parallel,
     verify_exhaustive_warm,
 )
-from repro.core.verify.batch import HAVE_NUMPY, WitnessKernel, gray_index_array
+from repro.core.verify import parallel
+from repro.core.verify.batch import WitnessKernel, gray_index_array
+from repro.core.verify.bench import _big_ring, _kernel_accepted
 from repro.core.verify.exhaustive import _revolving
 from repro.core.verify.warm import IncrementalInstanceBuilder
 
@@ -58,7 +61,6 @@ class TestGrayRankAddressing:
         got = list(iter_gray_indices(n, j, start, count))
         assert got == expected
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
     @pytest.mark.parametrize("n,j", [(6, 2), (9, 3), (12, 3), (5, 1)])
     def test_gray_index_array_matches_generator(self, n, j):
         arr = gray_index_array(n, j)
@@ -68,21 +70,18 @@ class TestGrayRankAddressing:
 
 
 class TestWitnessKernelSoundness:
-    def _kernel_with_seed(self, net, use_numpy):
+    def _kernel_with_seed(self, net):
         universe = sorted(net.graph.nodes, key=repr)
-        kern = WitnessKernel(net, universe, net.k, use_numpy=use_numpy)
+        kern = WitnessKernel(net, universe, net.k)
         inst = SpanningPathInstance(net.surviving())
         report = solve(inst, SolvePolicy())
         index = {p: i for i, p in enumerate(sorted(net.processors, key=repr))}
         assert kern.add_witness([index[p] for p in report.path[1:-1]])
         return kern, universe
 
-    @pytest.mark.parametrize("use_numpy", [False, True])
-    def test_every_accept_is_independently_tolerable(self, use_numpy):
-        if use_numpy and not HAVE_NUMPY:
-            pytest.skip("needs numpy")
+    def test_every_accept_is_independently_tolerable(self):
         net = build_special(4, 3)
-        kern, universe = self._kernel_with_seed(net, use_numpy)
+        kern, universe = self._kernel_with_seed(net)
         accepted = 0
         for j in range(net.k + 1):
             for idxs in iter_gray_indices(len(universe), j):
@@ -95,17 +94,23 @@ class TestWitnessKernelSoundness:
         # the seed witness alone must decide the majority of the sweep
         assert accepted > 300
 
-    def test_scalar_and_vector_tiers_agree_row_for_row(self):
-        if not HAVE_NUMPY:
-            pytest.skip("needs numpy")
+    def test_scalar_and_vector_tiers_agree_row_for_row(self, monkeypatch):
         net = build_special(4, 3)
-        kern, universe = self._kernel_with_seed(net, True)
-        fkern, _ = self._kernel_with_seed(net, False)
-        for j in range(net.k + 1):
+        kern, universe = self._kernel_with_seed(net)
+        calls = []
+        accept_np = kern._accept_np
+
+        def counted(w, F):
+            calls.append(len(F))
+            return accept_np(w, F)
+
+        monkeypatch.setattr(kern, "_accept_np", counted)
+        for j in range(1, net.k + 1):
             rows = [list(i) for i in iter_gray_indices(len(universe), j)]
-            assert list(kern.accept_batch(rows)) == [
-                fkern.accept_row(r) for r in rows
-            ]
+            mask = kern.accept_batch(np.asarray(rows))
+            assert mask.tolist() == [kern.accept_row(r) for r in rows]
+        # the vectorized tier really ran, on every size's full batch
+        assert len(calls) >= net.k
 
 
 class TestBatchedSweepEquivalence:
@@ -118,13 +123,13 @@ class TestBatchedSweepEquivalence:
     def test_matches_warm_certificate(self, builder):
         net = builder()
         warm = verify_exhaustive_warm(net)
-        batched = verify_exhaustive_batched(net)
+        batched = verify_exhaustive_parallel(net, workers=1)
         certs_agree(warm, batched)
         assert batched.is_proof
 
     def test_broken_network_same_counterexample(self):
         warm = verify_exhaustive_warm(broken_network())
-        batched = verify_exhaustive_batched(broken_network())
+        batched = verify_exhaustive_parallel(broken_network(), workers=1)
         certs_agree(warm, batched)
         assert batched.counterexample is not None
         # rank-order accounting: the sweep stops at the same set
@@ -135,49 +140,63 @@ class TestBatchedSweepEquivalence:
         warm = verify_exhaustive_warm(
             net, fault_universe=net.processors, sizes=[2]
         )
-        batched = verify_exhaustive_batched(
-            net, fault_universe=net.processors, sizes=[2]
+        batched = verify_exhaustive_parallel(
+            net, workers=1, fault_universe=net.processors, sizes=[2]
         )
         certs_agree(warm, batched)
         assert batched.checked == comb(len(net.processors), 2)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="parity needs both engines")
-    @pytest.mark.parametrize("builder", [
-        lambda: build(3, 2),
-        lambda: build_special(4, 3),
-    ])
-    def test_numpy_and_fallback_paths_identical(self, builder):
-        net = builder()
-        vec = verify_exhaustive_batched(net, use_numpy=True)
-        scalar = verify_exhaustive_batched(net, use_numpy=False)
-        certs_agree(vec, scalar)
-        # the two tiers must leave *identical* residues: same fault sets
-        # fall through to the same scalar sweeper in the same order
-        assert vec.solver_calls == scalar.solver_calls
-        assert vec.nodes_expanded == scalar.nodes_expanded
-
     def test_small_batch_rows_change_nothing(self):
         net = build_special(6, 2)
-        a = verify_exhaustive_batched(net)
-        b = verify_exhaustive_batched(net, batch_rows=7)
+        a = verify_exhaustive_parallel(net, workers=1)
+        b = verify_exhaustive_parallel(net, workers=1, chunk_size=7)
         certs_agree(a, b)
         assert a.solver_calls == b.solver_calls
 
+    @pytest.mark.parametrize("options", [
+        {"workers": 1},
+        {"workers": 2, "chunk_size": 4},
+    ], ids=["in-process", "pool"])
+    def test_full_scan_counts_match_the_cold_sweep(self, options):
+        # without stopping, every set of every chunk is decided: the
+        # totals are the cold sweep's, not a chunk cut at its first
+        # counterexample
+        net = broken_network()
+        cold = verify_exhaustive(net, k=2, stop_on_counterexample=False)
+        cert = verify_exhaustive_parallel(
+            net, k=2, stop_on_counterexample=False, **options
+        )
+        assert (cold.checked, cold.tolerated) == (29, 9)
+        assert (cert.checked, cert.tolerated) == (cold.checked, cold.tolerated)
+        assert cert.counterexample is not None
+
 
 class TestDispatchFallback:
-    def test_small_sweep_routes_to_serial_warm(self):
-        cert = verify_exhaustive_parallel(build(2, 2))
-        assert "[warm:" in cert.network_description
-        assert "parallel" not in cert.network_description
+    def _forbid_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was forked")
 
-    def test_mid_sweep_routes_to_batch_kernel(self):
+        monkeypatch.setattr(parallel, "ShmWorkerPool", no_pool)
+
+    def test_small_sweep_takes_the_kernel_path(self, monkeypatch):
+        self._forbid_pool(monkeypatch)
+        cert = verify_exhaustive_parallel(build(2, 2))
+        assert cert.is_proof
+        assert "[parallel x1:" in cert.network_description
+        assert _kernel_accepted(cert) > 0
+
+    def test_mid_sweep_routes_to_batch_kernel(self, monkeypatch):
+        self._forbid_pool(monkeypatch)
         cert = verify_exhaustive_parallel(build_special(4, 3))
-        assert "[batch/" in cert.network_description
+        assert "[parallel x1:" in cert.network_description
+        assert _kernel_accepted(cert) > 0
         assert cert.is_proof
 
-    def test_cold_mode_keeps_solver_accounting(self):
-        net = build(3, 2)
-        cert = verify_exhaustive_parallel(
-            net, warm=False, symmetry=False, workers=1
-        )
-        assert cert.solver_calls == cert.checked
+    def test_one_usable_cpu_forks_no_pool(self, monkeypatch):
+        self._forbid_pool(monkeypatch)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        net = _big_ring(32, 2, (1, 2, 3))
+        cert = verify_exhaustive_parallel(net)
+        assert cert.is_proof
+        assert cert.checked >= parallel.POOL_MIN_SETS
+        assert "[parallel x1:" in cert.network_description

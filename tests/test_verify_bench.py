@@ -8,7 +8,6 @@ import re
 
 from repro._util import git_sha, host_meta
 from repro.core.verify.bench import run_bench, smoke_regressions
-from repro.core.verify.parallel import DISPATCH_THRESHOLD
 
 
 def row(mode, wall, instance="I", checked=10):
@@ -32,25 +31,25 @@ class TestSmokeGate:
         payload = {"rows": [row("cold", 0.010), row("warm", 0.015)]}
         assert smoke_regressions(payload) == []
 
-    def test_parallel_slower_than_warm_is_flagged_at_the_threshold(self):
+    def test_parallel_slower_than_warm_is_flagged(self):
         payload = {"rows": [
-            row("warm", 1.0, checked=DISPATCH_THRESHOLD),
-            row("parallel", 1.5, checked=DISPATCH_THRESHOLD),
+            row("warm", 1.0, checked=20_000),
+            row("parallel", 1.5, checked=20_000),
+        ]}
+        bad = smoke_regressions(payload)
+        assert len(bad) == 1 and "parallel" in bad[0] and "warm" in bad[0]
+
+    def test_small_parallel_row_slower_than_warm_is_flagged(self):
+        # every sweep size takes the kernel path, so no row is exempt
+        payload = {"rows": [
+            row("warm", 1.0, checked=46),
+            row("parallel", 1.5, checked=46),
         ]}
         bad = smoke_regressions(payload)
         assert len(bad) == 1 and "parallel" in bad[0]
-        assert f"dispatch threshold {DISPATCH_THRESHOLD}" in bad[0]
-
-    def test_parallel_slower_than_warm_below_the_threshold_passes(self):
-        checked = DISPATCH_THRESHOLD - 1
-        payload = {"rows": [
-            row("warm", 1.0, checked=checked),
-            row("parallel", 1.5, checked=checked),
-        ]}
-        assert smoke_regressions(payload) == []
 
     def test_rows_within_tolerance_pass(self):
-        checked = 10 * DISPATCH_THRESHOLD
+        checked = 20_000
         payload = {"rows": [
             row("cold", 1.0, checked=checked),
             row("warm", 1.09, checked=checked),
@@ -67,6 +66,16 @@ class TestSmokeGate:
         ]}
         bad = smoke_regressions(payload)
         assert len(bad) == 1 and bad[0].startswith("slow:")
+
+
+class TestBenchRows:
+    def test_parallel_row_counts_kernel_accepts(self):
+        # kernel_accepted is parsed out of the certificate description,
+        # so a reworded description would zero it silently
+        payload = run_bench(["G(4,3)"])
+        (par,) = [r for r in payload["rows"] if r["mode"] == "parallel"]
+        assert par["kernel_accepted"] > 0
+        assert par["kernel_accepted"] <= par["fault_sets_checked"]
 
 
 class TestHostMeta:

@@ -20,7 +20,7 @@ from repro.core.verify import (
     verify_exhaustive_parallel,
     verify_exhaustive_warm,
 )
-from repro.core.verify.batch import HAVE_NUMPY, gray_index_array
+from repro.core.verify.batch import gray_index_array
 from repro.core.verify.shm import (
     HAVE_SHM,
     AttachedSweepContext,
@@ -54,14 +54,13 @@ class TestSharedSweepContext:
                 builder.base_start,
                 builder.base_end,
             )
-            if HAVE_NUMPY:
-                for j in (1, 2):
-                    table = attached.gray(j)
-                    assert table is not None
-                    assert (table == gray_index_array(len(universe), j)).all()
-                    # the view maps straight onto the shared buffer;
-                    # drop it before closing the segment
-                    del table
+            for j in (1, 2):
+                table = attached.gray(j)
+                assert table is not None
+                assert (table == gray_index_array(len(universe), j)).all()
+                # the view maps straight onto the shared buffer; drop it
+                # before closing the segment
+                del table
             assert attached.gray(9) is None  # never packed
             attached.close()
         finally:

@@ -246,18 +246,25 @@ class TestParallelOptions:
         assert ticks and ticks[-1] == cert.checked
 
     def test_fixed_chunk_cold_symmetry_off(self):
+        # pinned chunks on a pool, checked against the cold reference
         net = build(3, 2)
         cert = verify_exhaustive_parallel(
-            net, workers=2, chunk_size=8, symmetry=False, warm=False
+            net, workers=2, chunk_size=8, symmetry=False
         )
         cold = verify_exhaustive(net)
         assert (cert.is_proof, cert.checked, cert.tolerated) == (
             cold.is_proof, cold.checked, cold.tolerated
         )
-        assert cert.solver_calls == cert.checked  # cold workers: no reuse
 
-    def test_workers_one_falls_back_to_serial(self):
+    def test_workers_one_falls_back_to_serial(self, monkeypatch):
+        # workers=1 runs the chunks one after another in this process
+        from repro.core.verify import parallel
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was forked")
+
+        monkeypatch.setattr(parallel, "ShmWorkerPool", no_pool)
         net = build(2, 2)
         cert = verify_exhaustive_parallel(net, workers=1)
         assert cert.is_proof
-        assert "parallel" not in cert.network_description
+        assert "[parallel x1:" in cert.network_description
