@@ -8,14 +8,14 @@ decided by a splice whose *logic* is a handful of bitmask tests.
 
 This module hoists those tests out of the per-set loop and runs them as
 numpy matrix ops over whole *batches* of fault sets at once.  A
-**witness library** holds spanning paths found during the sweep; for
-each library witness a set of flat tables is precomputed (path position
-per node, run-bridge chords, terminal attachment per candidate
-endpoint), and a batch of fault sets — a ``(B, j)`` matrix of node
-indices in revolving-door order — is accepted wholesale when some
-witness provably adapts to every set in it.  Only the *residue* (sets no
-library witness provably tolerates) falls back to the scalar warm path,
-which also grows the library as it solves.
+**witness library** holds spanning paths found during the sweep.  Every
+library witness is stacked into kernel-level tables indexed by witness
+id (path position per node, run-bridge chords, candidate endpoint
+processors), and a batch of fault sets — a ``(B, j)`` matrix of
+node indices in revolving-door order — is accepted row by row when some
+witness provably adapts to the set.  Only the *residue* (sets no library
+witness provably tolerates) falls back to the scalar warm path, which
+also grows the library as it solves.
 
 Acceptance is **sound by construction** — a set is accepted only when an
 explicit pipeline can be assembled from the witness:
@@ -35,18 +35,27 @@ exactly); false accepts are impossible, so verdicts, counterexamples
 and ``checked``/``tolerated`` totals are identical to the warm sweep's
 — asserted in the test suite.
 
+One vectorized evaluator decides ``(row, witness)`` pairs for both
+tiers of :meth:`WitnessKernel.accept_batch`.  The general tier pairs the
+live rows with one general witness at a time and drops accepted rows;
+the conditional tier pairs each leftover row only with the conditional
+witnesses whose required set is a subset of it, found through an exact
+required-set index.  Rows are evaluated in blocks of :data:`ROW_BLOCK`,
+which bounds the pair temporaries whatever the chunk size.
+
 The sweep that drives the kernel is
 :func:`~repro.core.verify.parallel.verify_exhaustive_parallel`: its
 chunk worker runs one Gray-rank range through
 :meth:`WitnessKernel.accept_batch` and decides the residue with a
 :class:`~repro.core.verify.warm.WitnessSweeper` in rank order.
-:meth:`WitnessKernel.accept_row` is the same decision procedure for one
-row in plain Python: the conditional-witness tier, and the oracle the
-vectorized tier is tested against.
+:meth:`WitnessKernel.accept_row` is the same decision procedure in
+plain Python, one witness at a time: the oracle the vectorized kernel
+is tested against.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable, Sequence
 
@@ -57,11 +66,11 @@ from ..model import PipelineNetwork
 
 Node = Hashable
 
-#: full-coverage witnesses evaluated in the vectorized tier.
+#: full-coverage witnesses, tried one at a time on the live rows.
 GENERAL_CAP = 24
 #: residue-grown witnesses (usable only for supersets of the fault set
-#: that produced them), evaluated per-row on the vectorized tier's
-#: leftovers.
+#: that produced them), paired with the leftover rows that contain
+#: their required set.
 CONDITIONAL_CAP = 4096
 #: Pósa rotation attempts used to diversify the general library at
 #: sweep start; distinct paths multiply single-witness coverage.
@@ -70,9 +79,19 @@ DIVERSIFY_ROUNDS = 12
 #: elements (rows x width); larger sweeps stream through the unranking
 #: generator instead.
 GRAY_ELEMENT_CAP = 80_000_000
+#: rows :meth:`WitnessKernel.accept_batch` evaluates at once: bounds the
+#: ``(row, witness)`` pair temporaries for any chunk size.
+ROW_BLOCK = 8192
+#: required-set keys are int64 radix numbers; a kernel whose largest key
+#: would not fit keeps no conditional witnesses.
+KEY_LIMIT = 1 << 63
 
 _GRAY_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _GRAY_CACHE_MAX = 8
+
+#: ``_POSBIT[p]`` is the bit of path position ``p``; ``_POSBIT[-1]`` (a
+#: node off the path) is 0.  Paths are at most 63 positions long.
+_POSBIT = np.array([1 << p for p in range(63)] + [0], dtype=np.uint64)
 
 
 def gray_index_array(n: int, j: int) -> np.ndarray:
@@ -124,21 +143,22 @@ def _leading_ones(x: int, width: int) -> int:
     return n
 
 
+def _any_alive(tab: np.ndarray, procs: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Per pair: processor ``procs[i]`` has an attached terminal in the
+    bitset ``alive[:, i]`` (*tab* and *alive* are word-major)."""
+    hit = (tab[0].take(procs) & alive[0]) != 0
+    for i in range(1, len(tab)):
+        hit |= (tab[i].take(procs) & alive[i]) != 0
+    return hit
+
+
 class _Witness:
-    """Flat accept tables for one library witness (a spanning path of
-    the healthy processors, as builder bit indices in path order)."""
+    """One library witness: a spanning path of the healthy processors,
+    as builder bit indices in path order, with the scalar tables
+    :meth:`WitnessKernel._accept_one` reads; ``wid`` is its row in the
+    kernel's stacked tables."""
 
-    __slots__ = (
-        "bits", "h", "req", "wpos", "badrun", "sufshift",
-        "hin_deg", "hout_deg", "tin_deg", "tout_deg",
-        "hin_set", "hout_set", "tin_set", "tout_set",
-        "np_wpos", "np_hin_att", "np_hout_att", "np_tin_att",
-        "np_tout_att", "np_hin_deg", "np_hout_deg", "np_tin_deg",
-        "np_tout_deg",
-    )
-
-    def __init__(self) -> None:
-        self.np_wpos = None
+    __slots__ = ("bits", "req", "wid", "wpos", "badrun", "sufshift")
 
 
 class WitnessKernel:
@@ -146,11 +166,12 @@ class WitnessKernel:
 
     ``universe`` is the repr-sorted fault universe (the order
     :func:`~repro.core.verify.exhaustive.iter_fault_sets_gray` walks);
-    fault sets are presented as rows of universe indices.  ``general``
-    witnesses span every processor and run in the vectorized tier;
-    ``conditional`` witnesses (grown from residue solves under fault
-    sets with processor faults) only apply to supersets of the faults
-    they were found under and run per-row on the leftovers.
+    fault sets are presented as rows of universe indices.  ``k`` is the
+    largest fault-set size the kernel is asked about: it sizes the
+    run-length window and the per-length tables.  ``general`` witnesses
+    span every processor; ``conditional`` witnesses (grown from residue
+    solves under fault sets with processor faults) only apply to
+    supersets of the faults they were found under.
     """
 
     def __init__(
@@ -166,14 +187,13 @@ class WitnessKernel:
         self.universe = list(universe)
         self.U = len(self.universe)
         self.uindex = {v: u for u, v in enumerate(self.universe)}
-        self.builder = IncrementalInstanceBuilder(network)
+        self.builder = b = IncrementalInstanceBuilder(network)
         #: universe index of each processor bit (-1: outside the universe)
         self.bit_uidx = [
             self.uindex.get(p, -1) for p in self.builder.procs
         ]
         self.general: list[_Witness] = []
         self.conditional: list[_Witness] = []
-        self._by_req: dict[int, list[_Witness]] = {}
         self._seen: set[tuple[int, ...]] = set()
         # run-length LUTs over a (k+1)-bit window; fault sets carry at
         # most k bits so runs never fill the window
@@ -183,6 +203,58 @@ class WitnessKernel:
         self.lead = [_leading_ones(t, self.win) for t in range(1 << self.win)]
         self.np_trail = np.array(self.trail, dtype=np.int8)
         self.np_lead = np.array(self.lead, dtype=np.int8)
+        # terminal attachment per processor bit: the universe indices of
+        # its input/output terminals and their total counts (terminals
+        # outside the universe never fail) for the scalar oracle; for
+        # the vectorized tier, bitsets over the universe's terminals
+        # plus one bit for "has a terminal outside the universe"
+        uindex = self.uindex
+        self._in_set = [
+            frozenset(uindex[t] for t in ts if t in uindex) for ts in b.in_terms
+        ]
+        self._out_set = [
+            frozenset(uindex[t] for t in ts if t in uindex) for ts in b.out_terms
+        ]
+        self._in_deg = [len(ts) for ts in b.in_terms]
+        self._out_deg = [len(ts) for ts in b.out_terms]
+        terms = [u for u, v in enumerate(self.universe) if v in network.terminals]
+        tbit = {u: 1 << i for i, u in enumerate(terms)}
+        outside = 1 << len(terms)
+        words = len(terms) // 64 + 1
+
+        def word_major(masks: list[int]) -> np.ndarray:
+            return np.array(
+                [[m >> 64 * i & (1 << 64) - 1 for m in masks]
+                 for i in range(words)],
+                dtype=np.uint64,
+            )
+
+        def attached(sets: list[frozenset], degs: list[int]) -> np.ndarray:
+            return word_major([
+                sum(tbit[u] for u in ts) | (outside if d > len(ts) else 0)
+                for ts, d in zip(sets, degs)
+            ])
+
+        self._termbits = word_major([tbit.get(u, 0) for u in range(self.U)])
+        self._in_att = attached(self._in_set, self._in_deg)
+        self._out_att = attached(self._out_set, self._out_deg)
+        # stacked per-witness tables, indexed by witness id: path
+        # position per universe node, suffix shift, missing-chord masks
+        # per run length, and the head/tail processor after truncating
+        # d faulty end positions
+        self._pos = np.zeros((0, self.U), dtype=np.int8)
+        self._shift = np.zeros(0, dtype=np.uint64)
+        self._badrun = np.zeros((0, self.win), dtype=np.uint64)
+        self._ends = np.zeros((0, 2, self.win), dtype=np.int16)
+        # exact required-set index: radix base U+1 over ascending
+        # universe indices gives every set of at most k indices its own
+        # key, when the largest key fits int64
+        self._radix = self.U + 1
+        self._keyed = self._radix ** k < KEY_LIMIT
+        self._req_keys: list[int] = []
+        self._index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._max_req = 0
+        self._coef: dict[tuple[int, int], np.ndarray] = {}
 
     # -- library -------------------------------------------------------
     def add_witness(self, bits: Iterable[int]) -> bool:
@@ -201,22 +273,32 @@ class WitnessKernel:
         key = bits if bits[0] <= bits[-1] else tuple(reversed(bits))
         if key in self._seen:
             return False
+        on_path = set(bits)
+        if len(on_path) != h:
+            return False
         b = self.builder
-        req: set[int] = set()
+        req: list[int] = []
         for bit in range(len(b.procs)):
-            if bit not in bits:
+            if bit not in on_path:
                 u = self.bit_uidx[bit]
                 if u < 0:
                     # the witness skips a processor that is not in the
                     # fault universe: it can never span the survivors
                     return False
-                req.add(u)
-        on_path = set(bits)
-        if len(on_path) != h:
+                req.append(u)
+        if req:
+            # a required set wider than k fits no row, and without int64
+            # keys the kernel keeps no conditional witnesses
+            if (
+                len(req) > k
+                or not self._keyed
+                or len(self.conditional) >= CONDITIONAL_CAP
+            ):
+                return False
+        elif len(self.general) >= GENERAL_CAP:
             return False
         w = _Witness()
         w.bits = bits
-        w.h = h
         w.req = frozenset(req)
         w.sufshift = h - self.win
         wpos = [-1] * self.U
@@ -236,65 +318,31 @@ class WitnessKernel:
                     mask |= 1 << i
             badrun[r] = mask
         w.badrun = badrun
-        # endpoint-candidate attachment: after truncating a faulty
-        # prefix of length d the head is bits[d]; symmetric for tails
-        uindex = self.uindex
-        w.hin_deg, w.hout_deg = [], []
-        w.tin_deg, w.tout_deg = [], []
-        w.hin_set, w.hout_set = [], []
-        w.tin_set, w.tout_set = [], []
-        for d in range(k + 1):
-            hp, tp = bits[d], bits[h - 1 - d]
-            hin, hout = b.in_terms[hp], b.out_terms[hp]
-            tin, tout = b.in_terms[tp], b.out_terms[tp]
-            w.hin_deg.append(len(hin))
-            w.hout_deg.append(len(hout))
-            w.tin_deg.append(len(tin))
-            w.tout_deg.append(len(tout))
-            w.hin_set.append(frozenset(
-                uindex[t] for t in hin if t in uindex))
-            w.hout_set.append(frozenset(
-                uindex[t] for t in hout if t in uindex))
-            w.tin_set.append(frozenset(
-                uindex[t] for t in tin if t in uindex))
-            w.tout_set.append(frozenset(
-                uindex[t] for t in tout if t in uindex))
-        if w.req:
-            if len(self.conditional) >= CONDITIONAL_CAP:
-                return False
-            self._seen.add(key)
+        self._seen.add(key)
+        w.wid = wid = len(self.general) + len(self.conditional)
+        if wid == len(self._pos):
+            cap = min(max(64, 2 * wid), GENERAL_CAP + CONDITIONAL_CAP)
+            for name in ("_pos", "_shift", "_badrun", "_ends"):
+                old = getattr(self, name)
+                new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
+                new[:wid] = old
+                setattr(self, name, new)
+        self._pos[wid] = wpos
+        self._shift[wid] = w.sufshift
+        self._badrun[wid] = badrun
+        # after truncating a faulty prefix of length d the head is
+        # bits[d]; symmetric for tails
+        self._ends[wid] = (bits[: k + 1], bits[::-1][: k + 1])
+        if req:
             self.conditional.append(w)
-            self._by_req.setdefault(min(w.req), []).append(w)
+            self._req_keys.append(sum(
+                (u + 1) * self._radix ** i for i, u in enumerate(sorted(req))
+            ))
+            self._max_req = max(self._max_req, len(req))
+            self._index = None
         else:
-            if len(self.general) >= GENERAL_CAP:
-                return False
-            self._seen.add(key)
-            self._build_np(w)
             self.general.append(w)
         return True
-
-    def _build_np(self, w: _Witness) -> None:
-        k = self.k
-        w.np_wpos = np.array(w.wpos, dtype=np.int32)
-        for name, sets in (
-            ("np_hin_att", w.hin_set), ("np_hout_att", w.hout_set),
-            ("np_tin_att", w.tin_set), ("np_tout_att", w.tout_set),
-        ):
-            att = np.zeros((k + 1, self.U), dtype=np.int8)
-            for d in range(k + 1):
-                for u in sets[d]:
-                    att[d, u] = 1
-            setattr(w, name, att)
-        w.np_hin_deg = np.array(w.hin_deg, dtype=np.int32)
-        w.np_hout_deg = np.array(w.hout_deg, dtype=np.int32)
-        w.np_tin_deg = np.array(w.tin_deg, dtype=np.int32)
-        w.np_tout_deg = np.array(w.tout_deg, dtype=np.int32)
-
-    def add_witness_path(self, path: Sequence[Node]) -> bool:
-        """Add a witness given as a processor path (nodes, no
-        terminals)."""
-        index = self.builder.index
-        return self.add_witness([index[p] for p in path])
 
     def diversify(self, policy: SolvePolicy, rounds: int = DIVERSIFY_ROUNDS) -> None:
         """Grow the general library with rotation-extension variants of
@@ -315,10 +363,10 @@ class WitnessKernel:
             if report.status is Status.FOUND:
                 self.add_witness([index[p] for p in report.path[1:-1]])
 
-    # -- accept: shared scalar core ------------------------------------
+    # -- accept: the scalar oracle ---------------------------------------
     def _accept_one(self, w: _Witness, row: Sequence[int]) -> bool:
         """The decision procedure for one witness and one fault set
-        (universe indices).  The numpy tier is this, vectorized."""
+        (universe indices).  :meth:`_accept_pairs` is this, vectorized."""
         for r in w.req:
             if r not in row:
                 return False
@@ -341,11 +389,12 @@ class WitnessKernel:
             exact = A & ~(Q << 1) & ~(Q >> r)
             if exact & badrun[r]:
                 return False
+        head, tail = w.bits[pre], w.bits[-1 - suf]
         f_hin = f_hout = f_tin = f_tout = 0
-        hin_set = w.hin_set[pre]
-        hout_set = w.hout_set[pre]
-        tin_set = w.tin_set[suf]
-        tout_set = w.tout_set[suf]
+        hin_set = self._in_set[head]
+        hout_set = self._out_set[head]
+        tin_set = self._in_set[tail]
+        tout_set = self._out_set[tail]
         for u in row:
             if u in hin_set:
                 f_hin += 1
@@ -355,55 +404,108 @@ class WitnessKernel:
                 f_tin += 1
             if u in tout_set:
                 f_tout += 1
-        if w.hin_deg[pre] - f_hin >= 1 and w.tout_deg[suf] - f_tout >= 1:
+        in_deg, out_deg = self._in_deg, self._out_deg
+        if in_deg[head] - f_hin >= 1 and out_deg[tail] - f_tout >= 1:
             return True
-        return w.hout_deg[pre] - f_hout >= 1 and w.tin_deg[suf] - f_tin >= 1
-
-    def _accept_np(self, w: _Witness, F: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_accept_one` for a general witness over a
-        ``(B, j)`` batch of universe-index rows."""
-        j = F.shape[1]
-        P = w.np_wpos[F]
-        Pc = P.clip(min=0).astype(np.uint64)
-        one = np.uint64(1)
-        M = np.where(P >= 0, one << Pc, np.uint64(0))
-        Q = np.bitwise_or.reduce(M, axis=1)
-        pre = self.np_trail[(Q & np.uint64(self.winmask)).astype(np.int64)]
-        suf = self.np_lead[(Q >> np.uint64(w.sufshift)).astype(np.int64)]
-        ok = np.ones(len(F), dtype=bool)
-        A = Q
-        for r in range(1, j + 1):
-            if r > 1:
-                A = A & (Q >> np.uint64(r - 1))
-            bad = w.badrun[r]
-            if bad:
-                exact = A & ~(Q << one) & ~(Q >> np.uint64(r))
-                ok &= (exact & np.uint64(bad)) == 0
-        f_hin = w.np_hin_att[pre[:, None], F].sum(axis=1)
-        f_hout = w.np_hout_att[pre[:, None], F].sum(axis=1)
-        f_tin = w.np_tin_att[suf[:, None], F].sum(axis=1)
-        f_tout = w.np_tout_att[suf[:, None], F].sum(axis=1)
-        fwd = (w.np_hin_deg[pre] - f_hin >= 1) & \
-            (w.np_tout_deg[suf] - f_tout >= 1)
-        rev = (w.np_hout_deg[pre] - f_hout >= 1) & \
-            (w.np_tin_deg[suf] - f_tin >= 1)
-        ok &= fwd | rev
-        return ok
-
-    def _accept_conditional(self, row: Sequence[int]) -> bool:
-        for u in row:
-            for w in self._by_req.get(u, ()):
-                if self._accept_one(w, row):
-                    return True
-        return False
+        return out_deg[head] - f_hout >= 1 and in_deg[tail] - f_tin >= 1
 
     def accept_row(self, row: Sequence[int]) -> bool:
-        """Scalar accept: any library witness provably tolerates *row*
-        (a tuple of universe indices)."""
-        for w in self.general:
-            if self._accept_one(w, row):
-                return True
-        return self._accept_conditional(row)
+        """Scalar accept, the oracle for :meth:`accept_batch`: any
+        library witness provably tolerates *row* (a sequence of universe
+        indices)."""
+        return any(
+            self._accept_one(w, row) for w in self.general + self.conditional
+        )
+
+    # -- accept: vectorized ----------------------------------------------
+    def _accept_pairs(
+        self,
+        cols: np.ndarray,
+        alive: np.ndarray,
+        ri: np.ndarray,
+        wid: int | np.ndarray,
+    ) -> np.ndarray:
+        """Decide ``(row, witness)`` pairs: pair ``i`` is row ``ri[i]``
+        of the ``(j, B)`` column-major block *cols* against witness id
+        ``wid[i]``, or against ``wid`` for every pair when it is one id.
+        ``alive[:, r]`` is the bitset of terminals row ``r`` leaves
+        healthy.  The caller guarantees each witness's required set is
+        in its row; everything else :meth:`_accept_one` checks is
+        checked here."""
+        wid = np.reshape(wid, -1)
+        F = cols.take(ri, axis=1)
+        Q = np.bitwise_or.reduce(
+            _POSBIT.take(self._pos.take(F + wid * self.U)), axis=0
+        )
+        pre = self.np_trail.take((Q & np.uint64(self.winmask)).astype(np.intp))
+        suf = self.np_lead.take((Q >> self._shift.take(wid)).astype(np.intp))
+        # interior runs: bit i of A & (N >> r) starts an exact faulty
+        # run of length r; bridged unless badrun[r] marks it
+        N = ~Q
+        bad = np.zeros_like(Q)
+        A = Q
+        base = wid * self.win
+        for r in range(1, len(F) + 1):
+            if r > 1:
+                A = A & (Q >> np.uint64(r - 1))
+                if not A.any():
+                    break
+            bad |= A & (N >> np.uint64(r)) & self._badrun.take(base + r)
+        ok = (bad & ~(Q << np.uint64(1))) == 0
+        # the truncated endpoints must keep a healthy input at one end
+        # and a healthy output at the other
+        head = self._ends.take(2 * base + pre)
+        tail = self._ends.take(2 * base + self.win + suf)
+        a = alive.take(ri, axis=1)
+        ok &= (
+            _any_alive(self._in_att, head, a) & _any_alive(self._out_att, tail, a)
+        ) | (
+            _any_alive(self._out_att, head, a) & _any_alive(self._in_att, tail, a)
+        )
+        return ok
+
+    def _conditional_pairs(
+        self, cols: np.ndarray, live: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(row, conditional witness)`` pairs whose required set is
+        a subset of the row, for rows *live* of the column-major block
+        *cols*: each row's column subsets are keyed like required sets
+        and looked up in the library's sorted distinct keys."""
+        if self._index is None:
+            keys = np.array(self._req_keys, dtype=np.int64)
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            wids = np.array([w.wid for w in self.conditional])[order]
+            self._index = (keys[first], np.r_[first, len(keys)], wids)
+        ukeys, bounds, wids = self._index
+        rows = np.sort(cols.take(live, axis=1), axis=0).astype(np.int64) + 1
+        K = self._subset_coef(len(cols)) @ rows
+        at = np.minimum(np.searchsorted(ukeys, K), len(ukeys) - 1)
+        s, r = np.nonzero(ukeys[at] == K)
+        g = at[s, r]
+        start = bounds[g]
+        count = bounds[g + 1] - start
+        # expand each hit to its key's run of witness ids
+        offs = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        return live[np.repeat(r, count)], wids[np.repeat(start, count) + offs]
+
+    def _subset_coef(self, j: int) -> np.ndarray:
+        """``(S, j)`` radix weights: ``coef @ (rows + 1)`` keys the
+        ``S`` column subsets of ascending column-major *rows* that are
+        no wider than the widest required set."""
+        m = min(j, self._max_req)
+        coef = self._coef.get((j, m))
+        if coef is None:
+            subsets = []
+            for size in range(1, m + 1):
+                for combo in combinations(range(j), size):
+                    weights = [0] * j
+                    for i, c in enumerate(combo):
+                        weights[c] = self._radix ** i
+                    subsets.append(weights)
+            coef = self._coef[(j, m)] = np.array(subsets, dtype=np.int64)
+        return coef
 
     def accept_batch(self, rows: np.ndarray) -> np.ndarray:
         """Accept mask for a ``(B, j)`` integer array of same-size
@@ -412,18 +514,20 @@ class WitnessKernel:
         acc = np.zeros(B, dtype=bool)
         if rows.shape[1] == 0:
             return acc
-        live = np.arange(B)
-        Fl = rows
-        for w in self.general:
-            if not live.size:
-                break
-            ok = self._accept_np(w, Fl)
-            acc[live[ok]] = True
-            live = live[~ok]
-            Fl = rows[live]
-        if self.conditional and live.size:
-            leftover = Fl.tolist()
-            for idx, row in zip(live.tolist(), leftover):
-                if self._accept_conditional(row):
-                    acc[idx] = True
+        for s in range(0, B, ROW_BLOCK):
+            cols = rows[s : s + ROW_BLOCK].T.copy()
+            alive = ~np.bitwise_or.reduce(
+                self._termbits.take(cols, axis=1), axis=1
+            )
+            live = np.arange(cols.shape[1])
+            for w in self.general:
+                if not live.size:
+                    break
+                ok = self._accept_pairs(cols, alive, live, w.wid)
+                acc[s + live[ok]] = True
+                live = live[~ok]
+            if self.conditional and live.size:
+                ri, wid = self._conditional_pairs(cols, live)
+                ok = self._accept_pairs(cols, alive, ri, wid)
+                acc[s + ri[ok]] = True
         return acc

@@ -7,7 +7,8 @@ Gray-range witness-kernel sweep
 (:func:`~repro.core.verify.parallel.verify_exhaustive_parallel`,
 in-process or on a worker pool) — over a fixed catalog of instances:
 the small standard constructions, the paper's four computer-checked
-specials and a vertex-transitive circulant.  Every run cross-checks the engines against each other
+specials, a Theorem 3.17 instance at k=4 and vertex-transitive
+circulants.  Every run cross-checks the engines against each other
 (identical verdicts and multiplicity-weighted ``checked``/``tolerated``
 counts) before reporting a speedup, so a "fast" result that changed an
 answer fails loudly instead of flattering the benchmark.
@@ -87,8 +88,9 @@ def _big_ring(m: int, k: int, offsets: tuple[int, ...]) -> PipelineNetwork:
 
 
 #: the full catalog: standard constructions G(1,k)/G(2,k)/G(3,k) at k=2,
-#: the paper's four specials, a vertex-transitive circulant, and two big
-#: k=3 circulants sized so only the witness kernel finishes quickly.
+#: the paper's four specials, a vertex-transitive circulant, the
+#: Theorem 3.17 instance G(14,4) (28 nodes, 24,158 fault sets), and two
+#: big k=3 circulants sized so only the witness kernel finishes quickly.
 CATALOG: tuple[tuple[str, Callable[[], PipelineNetwork]], ...] = (
     ("G(1,2)", lambda: build_g1k(2)),
     ("G(2,2)", lambda: build(2, 2)),
@@ -97,6 +99,7 @@ CATALOG: tuple[tuple[str, Callable[[], PipelineNetwork]], ...] = (
     ("G(8,2)", lambda: build_special(8, 2)),
     ("G(4,3)", lambda: build_special(4, 3)),
     ("G(7,3)", lambda: build_special(7, 3)),
+    ("G(14,4)", lambda: build(14, 4)),
     ("ring-C8(1,2)", _ring_instance),
     ("ring-C16(1,2)k3", lambda: _big_ring(16, 3, (1, 2))),
     ("ring-C48(1,2,3)k3", lambda: _big_ring(48, 3, (1, 2, 3))),
@@ -105,15 +108,18 @@ CATALOG: tuple[tuple[str, Callable[[], PipelineNetwork]], ...] = (
 #: instances too large for the cold per-set rebuild sweep: skip the cold
 #: reference and cross-check parallel against warm instead.
 BIG_INSTANCES: frozenset[str] = frozenset(
-    {"ring-C16(1,2)k3", "ring-C48(1,2,3)k3"}
+    {"G(14,4)", "ring-C16(1,2)k3", "ring-C48(1,2,3)k3"}
 )
 
 #: quick subset for the CI smoke gate: one construction, two specials,
-#: and one instance big enough for automatic dispatch to fork a pool.
+#: and two instances big enough for automatic dispatch to fork a pool;
+#: G(14,4)'s residue grows hundreds of conditional witnesses, so the
+#: engine cross-check covers the kernel's conditional tier.
 SMOKE_CATALOG: tuple[str, ...] = (
     "G(3,2)",
     "G(6,2)",
     "G(4,3)",
+    "G(14,4)",
     "ring-C16(1,2)k3",
 )
 

@@ -119,8 +119,8 @@ class _SweepWorker:
 
     @staticmethod
     def init(wid: int, args: tuple) -> "_SweepWorker._State":
-        (network, policy, trace_ctx, spec, universe, k, witnesses, group,
-         stop) = args
+        (network, policy, trace_ctx, spec, universe, kernel_k, witnesses,
+         group, stop) = args
         st = _SweepWorker._State()
         st.trace_ctx = trace_ctx
         st.universe = universe
@@ -136,7 +136,7 @@ class _SweepWorker:
         st.verdicts = CanonicalVerdictCache(group) if group else None
         st.kernel = None
         if st.witnesses:
-            kernel = WitnessKernel(network, universe, k)
+            kernel = WitnessKernel(network, universe, kernel_k)
             for bits in st.witnesses:
                 kernel.add_witness(bits)
             if kernel.general:
@@ -361,6 +361,9 @@ def verify_exhaustive_parallel(
         j for j in (list(sizes) if sizes is not None else range(k + 1))
         if j <= n
     ]
+    # the kernel's run-length window and per-length tables must cover
+    # the widest swept fault set, which *sizes* may put above k
+    kernel_k = max([k, *size_order])
     if workers is None:
         est_sets = sum(comb(n, j) for j in size_order)
         workers = usable_cpus() if est_sets >= POOL_MIN_SETS else 1
@@ -390,7 +393,7 @@ def verify_exhaustive_parallel(
             seed_sweeper.decide(()) is Status.FOUND
             and seed_sweeper.prev_bits
         ):
-            seed_kernel = WitnessKernel(network, universe, k)
+            seed_kernel = WitnessKernel(network, universe, kernel_k)
             if seed_kernel.add_witness(list(seed_sweeper.prev_bits)):
                 seed_kernel.diversify(policy)
                 witnesses = [list(w.bits) for w in seed_kernel.general]
@@ -451,7 +454,7 @@ def verify_exhaustive_parallel(
     chunks_done = 0
     killed = False
 
-    init_args = (network, policy, trace_ctx, spec, universe, k,
+    init_args = (network, policy, trace_ctx, spec, universe, kernel_k,
                  witnesses, group, stop_on_counterexample)
     if workers > 1:
         pool = ShmWorkerPool(

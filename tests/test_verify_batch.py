@@ -19,11 +19,11 @@ from repro.core.verify import (
     verify_exhaustive_parallel,
     verify_exhaustive_warm,
 )
-from repro.core.verify import parallel
+from repro.core.verify import batch, parallel
 from repro.core.verify.batch import WitnessKernel, gray_index_array
 from repro.core.verify.bench import _big_ring, _kernel_accepted
 from repro.core.verify.exhaustive import _revolving
-from repro.core.verify.warm import IncrementalInstanceBuilder
+from repro.core.verify.warm import IncrementalInstanceBuilder, WitnessSweeper
 
 
 def broken_network():
@@ -33,6 +33,46 @@ def broken_network():
          ("p2", "o0"), ("p2", "o1")]
     )
     return PipelineNetwork(g, ["i0", "i1"], ["o0", "o1"], n=2, k=1)
+
+
+def seed_kernel(net):
+    """A kernel holding one solved fault-free witness: general only."""
+    universe = sorted(net.graph.nodes, key=repr)
+    kern = WitnessKernel(net, universe, net.k)
+    inst = SpanningPathInstance(net.surviving())
+    report = solve(inst, SolvePolicy())
+    index = {p: i for i, p in enumerate(sorted(net.processors, key=repr))}
+    assert kern.add_witness([index[p] for p in report.path[1:-1]])
+    return kern, universe
+
+
+def grown_kernel(net):
+    """The kernel of an in-process chunk worker after it has swept
+    every rank of every size up to k, seeded like
+    ``verify_exhaustive_parallel`` seeds it: its residue solves grow the
+    conditional witnesses."""
+    universe = sorted(net.graph.nodes, key=repr)
+    policy = SolvePolicy()
+    sweeper = WitnessSweeper(net, policy)
+    assert sweeper.decide(()).name == "FOUND"
+    seed = WitnessKernel(net, universe, net.k)
+    assert seed.add_witness(sweeper.prev_bits)
+    seed.diversify(policy)
+    witnesses = [list(w.bits) for w in seed.general]
+    st = parallel._SweepWorker.init(
+        0, (net, policy, None, None, universe, net.k, witnesses, None, True)
+    )
+    for j in range(1, net.k + 1):
+        task = ("range", j, j, 0, comb(len(universe), j), 0)
+        assert parallel._SweepWorker.run(st, task)[2] is None
+    return st.kernel, universe
+
+
+KERNELS = {
+    "G(4,3)-seed": lambda: seed_kernel(build_special(4, 3)),
+    "G(14,4)-grown": lambda: grown_kernel(build(14, 4)),
+    "ring-C32(1,2,3)k2-grown": lambda: grown_kernel(_big_ring(32, 2, (1, 2, 3))),
+}
 
 
 def certs_agree(a, b):
@@ -70,18 +110,9 @@ class TestGrayRankAddressing:
 
 
 class TestWitnessKernelSoundness:
-    def _kernel_with_seed(self, net):
-        universe = sorted(net.graph.nodes, key=repr)
-        kern = WitnessKernel(net, universe, net.k)
-        inst = SpanningPathInstance(net.surviving())
-        report = solve(inst, SolvePolicy())
-        index = {p: i for i, p in enumerate(sorted(net.processors, key=repr))}
-        assert kern.add_witness([index[p] for p in report.path[1:-1]])
-        return kern, universe
-
     def test_every_accept_is_independently_tolerable(self):
         net = build_special(4, 3)
-        kern, universe = self._kernel_with_seed(net)
+        kern, universe = seed_kernel(net)
         accepted = 0
         for j in range(net.k + 1):
             for idxs in iter_gray_indices(len(universe), j):
@@ -94,23 +125,50 @@ class TestWitnessKernelSoundness:
         # the seed witness alone must decide the majority of the sweep
         assert accepted > 300
 
-    def test_scalar_and_vector_tiers_agree_row_for_row(self, monkeypatch):
-        net = build_special(4, 3)
-        kern, universe = self._kernel_with_seed(net)
-        calls = []
-        accept_np = kern._accept_np
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_scalar_and_vector_tiers_agree_row_for_row(self, kernel, monkeypatch):
+        kern, universe = KERNELS[kernel]()
+        grown = kernel.endswith("-grown")
+        # the grown kernels carry conditional witnesses; the ring's 64
+        # terminals plus the outside bit need two bitset words
+        assert (len(kern.conditional) > 0) == grown
+        calls = {"general": 0, "conditional": 0}
+        accept_pairs = kern._accept_pairs
 
-        def counted(w, F):
-            calls.append(len(F))
-            return accept_np(w, F)
+        def counted(cols, alive, ri, wid):
+            tier = "general" if np.ndim(wid) == 0 else "conditional"
+            calls[tier] += 1
+            return accept_pairs(cols, alive, ri, wid)
 
-        monkeypatch.setattr(kern, "_accept_np", counted)
-        for j in range(1, net.k + 1):
-            rows = [list(i) for i in iter_gray_indices(len(universe), j)]
-            mask = kern.accept_batch(np.asarray(rows))
-            assert mask.tolist() == [kern.accept_row(r) for r in rows]
-        # the vectorized tier really ran, on every size's full batch
-        assert len(calls) >= net.k
+        monkeypatch.setattr(kern, "_accept_pairs", counted)
+        for j in range(1, kern.k + 1):
+            rows = gray_index_array(len(universe), j)
+            # repeated until the batch spans more than one row block
+            rows = np.tile(rows, (batch.ROW_BLOCK // len(rows) + 1, 1))
+            mask = kern.accept_batch(rows)
+            assert mask.tolist() == [kern.accept_row(r) for r in rows.tolist()]
+            # a row is a set: its column order cannot change the verdict
+            assert (kern.accept_batch(rows[:, ::-1]) == mask).all()
+        assert calls["general"] >= 4 * kern.k
+        assert (calls["conditional"] > 0) == grown
+
+    def test_kernel_beyond_the_key_limit_keeps_no_conditional_witnesses(self):
+        grown, universe = KERNELS["ring-C32(1,2,3)k2-grown"]()
+        # sized for 10-sets over 96 nodes, its required-set keys would
+        # overflow int64: conditional witnesses are refused
+        wide = WitnessKernel(grown.network, universe, 10)
+        assert (len(universe) + 1) ** wide.k >= batch.KEY_LIMIT
+        for w in grown.general:
+            assert wide.add_witness(w.bits)
+        for w in grown.conditional:
+            assert not wide.add_witness(w.bits)
+        assert not wide.conditional
+        for j in (1, 2):
+            rows = gray_index_array(len(universe), j)
+            mask = wide.accept_batch(rows)
+            assert mask.tolist() == [wide.accept_row(r) for r in rows.tolist()]
+            # sound: never more than the fully grown kernel accepts
+            assert not (mask & ~grown.accept_batch(rows)).any()
 
 
 class TestBatchedSweepEquivalence:
@@ -145,6 +203,24 @@ class TestBatchedSweepEquivalence:
         )
         certs_agree(warm, batched)
         assert batched.checked == comb(len(net.processors), 2)
+
+    @pytest.mark.parametrize("builder,sizes", [
+        (lambda: build(3, 2), [3]),
+        (lambda: build(3, 2), [0, 1, 2, 3]),
+        (lambda: build_special(4, 3), [4]),
+    ], ids=["G(3,2)-3", "G(3,2)-0123", "G(4,3)-4"])
+    @pytest.mark.parametrize("stop", [True, False], ids=["stop", "full"])
+    def test_sizes_above_k_match_the_warm_sweep(self, builder, sizes, stop):
+        # the kernel is sized for the widest swept set, not for k
+        net = builder()
+        warm = verify_exhaustive_warm(
+            net, sizes=sizes, stop_on_counterexample=stop
+        )
+        cert = verify_exhaustive_parallel(
+            net, sizes=sizes, workers=1, stop_on_counterexample=stop
+        )
+        certs_agree(warm, cert)
+        assert cert.counterexample is not None
 
     def test_small_batch_rows_change_nothing(self):
         net = build_special(6, 2)
