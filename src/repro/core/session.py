@@ -23,7 +23,7 @@ construction's own reconfiguration algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import AbstractSet, Hashable, Iterable
 
 from ..errors import ReconfigurationError
 from ..obs.spans import annotate, child_span
@@ -96,10 +96,29 @@ class ReconfigurationSession:
         self.faults: set[Node] = set()
         self.history: list[ChurnRecord] = []
         self.pipeline: Pipeline = reconfigure(network, (), self.policy)
+        self._processors = network.processors
 
     @property
     def healthy_processors(self) -> frozenset:
         return self.network.processors - self.faults
+
+    def serves(self, faults: AbstractSet[Node]) -> bool:
+        """True when the current pipeline is a pipeline of the network
+        under *faults*: it avoids every fault and has one stage per healthy
+        processor.
+
+        The pipeline's path was validated when it was built, so two set
+        operations decide this where a full :func:`is_pipeline` would
+        walk every edge.  :meth:`fail`, :meth:`repair` and the control
+        plane keep the pipeline without re-embedding only when it holds:
+        a re-embed that raised leaves a pipeline through the dead node
+        (or without the revived processor), which no later event may
+        serve as current.
+        """
+        return faults.isdisjoint(self.pipeline.nodes) and (
+            self.pipeline.length
+            == len(self._processors) - len(self._processors & faults)
+        )
 
     def _healthy_terminal_for(self, stage: Node, kind: str) -> Node | None:
         terms = self.network.inputs if kind == "input" else self.network.outputs
@@ -226,16 +245,17 @@ class ReconfigurationSession:
         without invoking any solver; an invalid candidate is silently
         ignored and the normal re-embedding runs.
 
+        The current pipeline is kept as is when it still :meth:`serves`
+        the enlarged fault set.
+
         Raises :class:`~repro.errors.ReconfigurationError` when the
         accumulated faults exceed what the network tolerates.
         """
         if node not in self.network.graph:
             raise ReconfigurationError(f"{node!r} is not a node of the network")
         idx = len(self.history)
-        already = node in self.faults
         self.faults.add(node)
-        on_pipeline = node in set(self.pipeline.nodes)
-        if already or not on_pipeline:
+        if self.serves(self.faults):
             record = ChurnRecord(
                 fault=node,
                 fault_index=idx,
@@ -302,8 +322,9 @@ class ReconfigurationSession:
     def repair(self, node: Node, *, pipeline: Pipeline | None = None) -> ChurnRecord:
         """Revive a previously failed node and re-embed if needed.
 
-        Reviving a *terminal* leaves the pipeline valid (the interior — all
-        healthy processors — is unchanged).  Reviving a *processor*
+        Reviving a *terminal* leaves a valid pipeline valid (the interior —
+        all healthy processors — is unchanged), so it is kept whenever it
+        :meth:`serves` the reduced fault set.  Reviving a *processor*
         invalidates the pipeline, because graceful degradation requires
         every healthy processor to be in use; the session splices the node
         back in locally when possible, otherwise re-embeds (seeded with the
@@ -319,7 +340,7 @@ class ReconfigurationSession:
             raise ReconfigurationError(f"{node!r} is not currently failed")
         idx = len(self.history)
         self.faults.discard(node)
-        if node not in self.network.processors:
+        if self.serves(self.faults):
             record = ChurnRecord(
                 fault=node,
                 fault_index=idx,

@@ -9,7 +9,7 @@
 * ``RA503``: a builtin shadowed by a parameter or a local/module
   assignment (``def f(list, id): ...``) — later code in the same scope
   silently calls the wrong thing.  Class-body attributes are exempt
-  (dataclass fields like ``LatencyStats.max`` are legitimate API).
+  (dataclass fields like ``LatencyHistogram.max`` are legitimate API).
 """
 
 from __future__ import annotations

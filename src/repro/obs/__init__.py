@@ -10,8 +10,9 @@ never the other way round.  Four pieces:
 * :mod:`repro.obs.recorder` — the :class:`FlightRecorder` bounded span
   ring that freezes JSON dumps on anomalies (shed, validation failure,
   torn store row, lock-order violation);
-* :mod:`repro.obs.quantiles` — the shared :class:`LatencyHistogram`
-  (streaming p50/p95/p99) and :func:`exact_quantile` picker;
+* :mod:`repro.obs.quantiles` — :class:`LatencyHistogram`, the one
+  latency summary (log-linear buckets, streaming p50/p95/p99 at most
+  1/16 above the exact sample quantile);
 * :mod:`repro.obs.exposition` / :mod:`repro.obs.http` — Prometheus-text
   and JSON renderers plus the stdlib HTTP endpoint behind
   ``python -m repro serve --metrics-port N``.
@@ -25,7 +26,6 @@ from .http import MetricsServer
 from .quantiles import (
     BUCKET_BOUNDS,
     LatencyHistogram,
-    exact_quantile,
     summarize_samples,
 )
 from .recorder import ANOMALY_KINDS, FlightRecorder
@@ -60,7 +60,6 @@ __all__ = [
     "current_context",
     "current_span",
     "current_tracer",
-    "exact_quantile",
     "iter_traces",
     "make_span_dict",
     "phase_breakdown",

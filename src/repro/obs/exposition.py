@@ -6,8 +6,8 @@ dependency arrow stays service → obs) into the two formats operators
 actually scrape:
 
 * :func:`render_prometheus` — the Prometheus text exposition format
-  (``# TYPE`` headers, cumulative ``_bucket{le=...}`` histogram rows from
-  the shared :class:`~repro.obs.quantiles.LatencyHistogram`), one
+  (``# TYPE`` headers, cumulative ``_bucket{le=...}`` histogram rows at
+  the octave bounds of :class:`~repro.obs.quantiles.LatencyHistogram`), one
   metric family per fleet counter **including** ``stale_served`` and the
   anomaly totals, plus per-network gauge/counter breakdowns;
 * :func:`render_metrics_json` — the same data as sorted-key JSON for
@@ -26,7 +26,7 @@ import json
 import math
 from typing import Iterable, Mapping
 
-from .quantiles import LatencyHistogram
+from .quantiles import LatencyHistogram, summarize_samples
 
 __all__ = [
     "phase_breakdown",
@@ -88,10 +88,11 @@ class _Lines:
         return "\n".join(self.out) + "\n"
 
 
-def _histogram(lines: _Lines, name: str, hist, labels=None) -> None:
+def _histogram(
+    lines: _Lines, name: str, hist: LatencyHistogram, labels=None
+) -> None:
     """Emit ``_bucket``/``_sum``/``_count`` rows for a latency histogram."""
-    rows = hist.bucket_rows() if hasattr(hist, "bucket_rows") else []
-    for bound, cumulative in rows:
+    for bound, cumulative in hist.bucket_rows():
         le = "+Inf" if bound == math.inf else repr(bound)
         merged = dict(labels or {})
         merged["le"] = le
@@ -219,15 +220,14 @@ def phase_breakdown(spans: Iterable[Mapping]) -> dict[str, dict]:
     durations, plus the raw total.  Sorted by name so serialized output
     is deterministic.
     """
-    hists: dict[str, LatencyHistogram] = {}
+    durations: dict[str, list[float]] = {}
     for span in spans:
-        name = span.get("name", "?")
-        hists[name] = hists.get(name, LatencyHistogram()).observe(
+        durations.setdefault(span.get("name", "?"), []).append(
             float(span.get("duration_s", 0.0))
         )
     out: dict[str, dict] = {}
-    for name in sorted(hists):
-        h = hists[name]
+    for name in sorted(durations):
+        h = summarize_samples(durations[name])
         row = h.as_dict()
         row["total"] = h.total
         out[name] = row

@@ -1,27 +1,24 @@
-"""Shared latency quantile math: one histogram, one exact picker.
+"""The one latency summary: a log-linear, mergeable histogram.
 
-Before this module existed the repo computed percentiles twice — a
-sort-based picker private to :mod:`repro.service.loadgen` and a
-mean/max-only ``LatencyStats`` in :mod:`repro.service.metrics` that could
-not answer "what is p95?" at all.  Both now share this code:
+:class:`LatencyHistogram` is the only summary of measured latency in
+:mod:`repro.obs` and :mod:`repro.service`: control-plane metrics, the
+Prometheus exposition, the per-phase ``phases`` breakdowns of both BENCH
+files, the load harness's query/solve rows and the service smoke gate
+all read it.
 
-* :class:`LatencyHistogram` — a streaming, immutable, mergeable
-  log-bucketed histogram.  ``observe`` returns a new value (the
-  control-plane pattern ``stats = stats.observe(x)`` under a lock keeps
-  working), quantiles are answered from the bucket counts in O(buckets),
-  and two histograms merge bucket-wise — which is what lets per-chunk
-  worker timings fold into one fleet distribution.
-* :func:`exact_quantile` — the sort-based picker for small in-memory
-  sample populations (the load harness), kept exact because benchmark
-  gates compare its output run over run.
+Layout (HdrHistogram-style, http://hdrhistogram.org/): an underflow
+bucket for values up to 1 µs, then every power-of-two octave from 1 µs
+to ~67 s split into :data:`SUB_BUCKETS` equal-width buckets, then an
+overflow bucket.  A reported quantile is the *upper bound* of the bucket
+holding the nearest-rank sample, capped at the observed maximum.  Inside
+an octave ``(lo, 2 lo]`` a bucket is ``lo / SUB_BUCKETS`` wide and holds
+only values above ``lo``, so a quantile never under-reports and reads at
+most ``1 / SUB_BUCKETS`` (6.25%) above the exact sample quantile — tight
+enough for a 10% regression gate.  The overflow bucket reports the max.
 
-Buckets are powers of two from 1 µs up to ~67 s plus an overflow bucket;
-a reported quantile is the *upper bound* of the bucket where the
-cumulative count crosses the rank, so histogram quantiles are
-conservative (never under-report) and at most one bucket-width (2x)
-coarse — plenty for the "is p95 milliseconds or seconds?" questions the
-metrics endpoint answers, while the bench harness keeps the exact picker
-for its regression gates.
+Counts are stored as one row per octave (plus a one-slot underflow and
+overflow row), so ``observe`` copies one 16-slot row and the 28-entry row
+tuple instead of all 418 counts.
 """
 
 from __future__ import annotations
@@ -29,22 +26,45 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
+from typing import Iterable
 
-#: Bucket upper bounds in seconds: 1 µs * 2**i, i = 0..26 (~67 s), plus
-#: an implicit overflow bucket.  Log-spaced so sub-millisecond query
-#: latencies and multi-second solves land in usefully distinct buckets.
+#: Equal-width buckets per power-of-two octave.
+SUB_BUCKETS = 16
+
+#: Octave upper bounds in seconds: 1 µs * 2**i, i = 0..26 (~67 s).  These
+#: are the Prometheus ``le`` bounds of :meth:`LatencyHistogram.bucket_rows`.
 BUCKET_BOUNDS: tuple[float, ...] = tuple(1e-6 * 2**i for i in range(27))
 
-_NBUCKETS = len(BUCKET_BOUNDS) + 1  # + overflow
-_ZEROS = (0,) * _NBUCKETS
+#: Every bucket's upper bound, ascending: the underflow bound, then
+#: ``SUB_BUCKETS`` steps across each octave (the last step of an octave
+#: is exactly its ``BUCKET_BOUNDS`` entry).  Each bound is a multiple of
+#: 1 µs / 16, so rounding to 10 decimals gives the float nearest its
+#: decimal value: reports read 0.000304, not 0.00030399999999999996.
+_UPPER: tuple[float, ...] = (BUCKET_BOUNDS[0],) + tuple(
+    round(lo * (SUB_BUCKETS + j) / SUB_BUCKETS, 10)
+    for lo in BUCKET_BOUNDS[:-1]
+    for j in range(1, SUB_BUCKETS + 1)
+)
+_OCTAVES = len(BUCKET_BOUNDS) - 1
+
+#: ``(row, column)`` of each bucket in ``_UPPER`` order, plus overflow.
+_SLOT: tuple[tuple[int, int], ...] = (
+    ((0, 0),)
+    + tuple((r, c) for r in range(1, _OCTAVES + 1) for c in range(SUB_BUCKETS))
+    + ((_OCTAVES + 1, 0),)
+)
+_EMPTY = ((0,),) + ((0,) * SUB_BUCKETS,) * _OCTAVES + ((0,),)
 
 
-def bucket_index(value: float) -> int:
-    """The histogram bucket for *value* (last bucket = overflow)."""
-    if value < 0:
-        value = 0.0
-    return bisect_left(BUCKET_BOUNDS, value)
+def bucket_index(value: float) -> tuple[int, int]:
+    """``(row, column)`` of the bucket holding *value*.
+
+    Row 0 is the underflow bucket (values <= 1 µs, negatives included),
+    rows 1..26 are the octaves ending at ``BUCKET_BOUNDS[row]`` and row 27
+    is the overflow bucket.
+    """
+    return _SLOT[bisect_left(_UPPER, value)]
 
 
 @dataclass(frozen=True)
@@ -59,14 +79,15 @@ class LatencyHistogram:
     ...     h = h.observe(v)
     >>> h.count, round(h.mean, 4), h.max
     (3, 0.0023, 0.004)
-    >>> h.quantile(0.5) >= 0.002
-    True
+    >>> h.quantile(0.5)  # the bucket (0.001984, 0.002048] holds 0.002
+    0.002048
     """
 
     count: int = 0
     total: float = 0.0
     max: float = 0.0
-    buckets: tuple[int, ...] = field(default=_ZEROS, repr=False)
+    #: per-row bucket counts, laid out as :func:`bucket_index` describes.
+    buckets: tuple[tuple[int, ...], ...] = field(default=_EMPTY, repr=False)
 
     @property
     def mean(self) -> float:
@@ -74,14 +95,16 @@ class LatencyHistogram:
 
     def observe(self, latency: float) -> "LatencyHistogram":
         """A new histogram with *latency* folded in."""
-        idx = bucket_index(latency)
-        buckets = list(self.buckets)
-        buckets[idx] += 1
+        row, col = bucket_index(latency)
+        rows = list(self.buckets)
+        counts = list(rows[row])
+        counts[col] += 1
+        rows[row] = tuple(counts)
         return LatencyHistogram(
             count=self.count + 1,
             total=self.total + latency,
             max=max(self.max, latency),
-            buckets=tuple(buckets),
+            buckets=tuple(rows),
         )
 
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
@@ -91,15 +114,18 @@ class LatencyHistogram:
             total=self.total + other.total,
             max=max(self.max, other.max),
             buckets=tuple(
-                a + b for a, b in zip(self.buckets, other.buckets)
+                tuple(a + b for a, b in zip(mine, theirs))
+                for mine, theirs in zip(self.buckets, other.buckets)
             ),
         )
 
     def quantile(self, q: float) -> float:
-        """The upper bound of the bucket holding the *q*-quantile.
+        """The upper bound of the bucket holding the nearest-rank
+        *q*-quantile, capped at the observed maximum.
 
-        Conservative: the true quantile is <= the returned value.  The
-        overflow bucket reports the observed maximum.
+        Never below the exact sample quantile and, for samples of at
+        least 1 µs, at most ``1 / SUB_BUCKETS`` above it.  The overflow
+        bucket reports the observed maximum.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q!r}")
@@ -107,12 +133,10 @@ class LatencyHistogram:
             return 0.0
         rank = max(1, math.ceil(q * self.count))
         seen = 0
-        for i, c in enumerate(self.buckets):
+        for bound, c in zip(_UPPER, chain.from_iterable(self.buckets)):
             seen += c
             if seen >= rank:
-                if i >= len(BUCKET_BOUNDS):
-                    return self.max
-                return min(BUCKET_BOUNDS[i], self.max)
+                return min(bound, self.max)
         return self.max
 
     @property
@@ -139,34 +163,28 @@ class LatencyHistogram:
         }
 
     def bucket_rows(self) -> list[tuple[float, int]]:
-        """``(upper_bound_seconds, cumulative_count)`` rows, Prometheus
-        style: counts are cumulative and the final row is ``(inf, count)``."""
+        """``(upper_bound_seconds, cumulative_count)`` rows at the octave
+        bounds, Prometheus style: counts are cumulative and the final row
+        is ``(inf, count)``."""
         rows: list[tuple[float, int]] = []
         seen = 0
-        for bound, c in zip(BUCKET_BOUNDS, self.buckets):
-            seen += c
+        for bound, counts in zip(BUCKET_BOUNDS, self.buckets):
+            seen += sum(counts)
             rows.append((bound, seen))
         rows.append((math.inf, self.count))
         return rows
 
 
-def exact_quantile(ordered: Sequence[float], q: float) -> float:
-    """The *q*-quantile of an already-sorted sample (nearest-rank).
-
-    This is the picker the load harness always used — kept exact (no
-    bucketing) because bench regression gates diff its output.
-    """
-    if not ordered:
-        return 0.0
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-    n = len(ordered)
-    return ordered[min(n - 1, max(0, math.ceil(q * n) - 1))]
-
-
-def summarize_samples(samples: Sequence[float]) -> LatencyHistogram:
-    """Fold a raw sample population into a :class:`LatencyHistogram`."""
-    hist = LatencyHistogram()
+def summarize_samples(samples: Iterable[float]) -> LatencyHistogram:
+    """Count a raw sample population into a :class:`LatencyHistogram` in
+    one pass (the same value as folding it with ``observe``)."""
+    rows = [list(r) for r in _EMPTY]
+    count = 0
+    total = top = 0.0
     for s in samples:
-        hist = hist.observe(s)
-    return hist
+        row, col = bucket_index(s)
+        rows[row][col] += 1
+        count += 1
+        total += s
+        top = max(top, s)
+    return LatencyHistogram(count, total, top, tuple(map(tuple, rows)))

@@ -31,6 +31,7 @@ each event's work is smaller than a pickled pipe round trip
 (``docs/service.md``).
 """
 
+from ..obs.quantiles import LatencyHistogram
 from .cache import CacheStats, WitnessCache
 from .canonical import Canonicalizer, network_fingerprint, plain_fault_key
 from .control import (
@@ -45,7 +46,7 @@ from .loadgen import (
     service_smoke_regressions,
 )
 from .mailbox import AtomicCounters, Mailbox
-from .metrics import EventRecord, LatencyStats, MetricsSnapshot, NetworkStats
+from .metrics import EventRecord, MetricsSnapshot, NetworkStats
 from .store import StoreStats, WitnessStore
 from .tiering import TieredWitnessCache, WriteBehindWriter
 from .trace import (
@@ -72,7 +73,7 @@ __all__ = [
     "network_fingerprint",
     "plain_fault_key",
     "EventRecord",
-    "LatencyStats",
+    "LatencyHistogram",
     "MetricsSnapshot",
     "NetworkStats",
     "WitnessStore",

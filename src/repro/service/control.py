@@ -58,6 +58,7 @@ from ..core.pipeline import Pipeline, is_pipeline
 from ..core.reconfigure import fast_solve_policy
 from ..core.session import ChurnRecord, ReconfigurationSession
 from ..errors import ReproError, ServiceOverloadError
+from ..obs.quantiles import LatencyHistogram
 from ..obs.recorder import FlightRecorder
 from ..obs.spans import NOOP_TRACER, Tracer
 from .cache import WitnessCache
@@ -66,7 +67,6 @@ from .mailbox import AtomicCounters, Mailbox
 from .metrics import (
     COUNTER_NAMES,
     EventRecord,
-    LatencyStats,
     MetricsSnapshot,
     NetworkStats,
 )
@@ -211,7 +211,7 @@ class ManagedNetwork:
             self.session.pipeline, frozenset()
         )
         self.counters = AtomicCounters(COUNTER_NAMES)
-        self.latency_published = LatencyStats()
+        self.latency_published = LatencyHistogram()
         self.ewma: float | None = None
 
     @property
@@ -293,7 +293,7 @@ class ControlPlane:
         self._lock = threading.Lock()
         self._seq = 0
         self._records: deque[EventRecord] = deque(maxlen=self.config.record_ring)
-        self._latency = LatencyStats()
+        self._latency = LatencyHistogram()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -565,13 +565,12 @@ class ControlPlane:
         session = m.session
         node = event.node
         if event.kind == "fault":
-            trivial = node in session.faults or node not in set(
-                session.pipeline.nodes
-            )
             target = frozenset(session.faults | {node})
         else:
-            trivial = node in session.faults and node not in m.network.processors
             target = frozenset(session.faults - {node})
+        # the session keeps its pipeline (no canonicalize, cache or solve)
+        # exactly when that pipeline still serves the target fault set
+        trivial = session.serves(target)
 
         solver = "none"
         cache_hit = False

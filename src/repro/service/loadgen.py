@@ -26,7 +26,10 @@ the restart scenario the tiered store exists for.  The
 ``BENCH_service.json`` payload records, per phase, p50/p95/p99 query and
 solve latency, shed rate, degraded- and stale-answer rates, witness
 cache hit rate, and the persistent-tier counters (``warm_loaded``,
-``persist_hits``, ``validation_failures``).
+``persist_hits``, ``validation_failures``).  Every latency figure,
+``phases`` included, is a :class:`~repro.obs.quantiles.LatencyHistogram`
+summary: a percentile reads at most 1/16 above the exact sample
+quantile, which is what the smoke gate below compares.
 
 The CI smoke gate (:func:`service_smoke_regressions`) fails on any
 ``validation_failures``, on a warm phase that loaded nothing from the
@@ -46,7 +49,7 @@ from typing import Sequence
 from .._util import as_rng, host_meta
 from ..errors import ReproError, ServiceOverloadError
 from ..obs.exposition import phase_breakdown
-from ..obs.quantiles import exact_quantile
+from ..obs.quantiles import LatencyHistogram, summarize_samples
 from ..simulator.faults import poisson_fault_schedule
 from ..simulator.fleet import timed_fleet_trace
 from .control import ControlPlane, ControlPlaneConfig
@@ -126,50 +129,6 @@ def build_workload(
 
 
 @dataclass(frozen=True)
-class LatencySummary:
-    """Distribution summary of one latency population (seconds)."""
-
-    count: int
-    mean: float
-    max: float
-    p50: float
-    p95: float
-    p99: float
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": round(self.mean, 9),
-            "max": round(self.max, 9),
-            "p50": round(self.p50, 9),
-            "p95": round(self.p95, 9),
-            "p99": round(self.p99, 9),
-        }
-
-
-def summarize_latencies(samples: Sequence[float]) -> LatencySummary:
-    """Exact (sort-based) percentile summary; zeros when empty.
-
-    The nearest-rank picker itself lives in
-    :mod:`repro.obs.quantiles` (:func:`~repro.obs.quantiles.exact_quantile`)
-    — one implementation shared with the metrics histograms instead of a
-    private copy here.
-    """
-    if not samples:
-        return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    ordered = sorted(samples)
-    n = len(ordered)
-    return LatencySummary(
-        count=n,
-        mean=sum(ordered) / n,
-        max=ordered[-1],
-        p50=exact_quantile(ordered, 0.50),
-        p95=exact_quantile(ordered, 0.95),
-        p99=exact_quantile(ordered, 0.99),
-    )
-
-
-@dataclass(frozen=True)
 class LoadReport:
     """Outcome of one open-loop replay."""
 
@@ -181,8 +140,8 @@ class LoadReport:
     errors: int
     degraded: int
     stale: int
-    query_latency: LatencySummary
-    solve_latency: LatencySummary
+    query_latency: LatencyHistogram
+    solve_latency: LatencyHistogram
 
 
 def run_load(
@@ -241,8 +200,8 @@ def run_load(
         errors=errors,
         degraded=degraded,
         stale=stale,
-        query_latency=summarize_latencies(query_lat),
-        solve_latency=summarize_latencies(solve_lat),
+        query_latency=summarize_samples(query_lat),
+        solve_latency=summarize_samples(solve_lat),
     )
 
 

@@ -9,15 +9,17 @@ degraded.  Records land in a bounded ring (old traffic ages out; the
 counters keep the totals).
 
 :class:`MetricsSnapshot` is the health report: per-network gauges and
-counters, witness-cache accounting, aggregate latency stats and the
-recent record ring, with a human-readable :meth:`~MetricsSnapshot.summary`
+counters, witness-cache accounting, fleet and per-network latency as
+:class:`~repro.obs.quantiles.LatencyHistogram` values (the same
+histogram the Prometheus ``_bucket`` rows and the BENCH files read) and
+the recent record ring, with a human-readable :meth:`~MetricsSnapshot.summary`
 used by ``python -m repro serve``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 from ..obs.quantiles import LatencyHistogram
 from .cache import CacheStats
@@ -63,15 +65,6 @@ class EventRecord:
         return self.moved / total if total else 0.0
 
 
-#: Streaming latency aggregate.  Historically a mean/max-only dataclass
-#: private to this module; now the shared log-bucketed histogram from
-#: :mod:`repro.obs.quantiles`, so the same under-lock
-#: ``stats = stats.observe(x)`` pattern also answers p50/p95/p99 and
-#: feeds the Prometheus ``_bucket`` rows.  The old field names
-#: (``count``/``total``/``max``/``mean``) are unchanged.
-LatencyStats = LatencyHistogram
-
-
 @dataclass(frozen=True)
 class NetworkStats:
     """Point-in-time view of one managed network."""
@@ -85,7 +78,7 @@ class NetworkStats:
     paused: bool
     pipeline_length: int
     counters: Mapping[str, int]
-    latency: LatencyStats
+    latency: LatencyHistogram
     total_moved: int
     mean_churn: float
 
@@ -97,7 +90,7 @@ class MetricsSnapshot:
     networks: tuple[NetworkStats, ...]
     cache: CacheStats
     totals: Mapping[str, int]
-    latency: LatencyStats
+    latency: LatencyHistogram
     records: tuple[EventRecord, ...] = field(default=(), repr=False)
     #: persistent witness-tier accounting (``None`` without a store).
     store: StoreStats | None = None
@@ -219,11 +212,3 @@ class MetricsSnapshot:
                 f"lat {s.latency.mean * 1e3:.2f}ms"
             )
         return "\n".join(lines)
-
-
-def summarize_records(records: Sequence[EventRecord]) -> LatencyStats:
-    """Fold a record sequence into a :class:`LatencyStats`."""
-    stats = LatencyStats()
-    for r in records:
-        stats = stats.observe(r.latency)
-    return stats

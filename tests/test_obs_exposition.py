@@ -12,7 +12,10 @@ from repro.obs.exposition import (
     render_prometheus,
 )
 from repro.obs.http import MetricsServer
+from repro.obs.quantiles import summarize_samples
+from repro.service.cache import CacheStats
 from repro.service.control import ControlPlane, ControlPlaneConfig
+from repro.service.metrics import MetricsSnapshot
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,53 @@ class TestPrometheus:
             text = render_prometheus(plane.snapshot())
         assert "repro_store_rows 0" in text
         assert "repro_store_torn_rows_total 0" in text
+
+
+class TestHistogramText:
+    """The ``_bucket`` rows sit at the 27 octave bounds plus ``+Inf``
+    whatever the layout inside an octave; the expected lines pin the
+    text byte for byte."""
+
+    SAMPLES = (
+        5e-7, 1e-6, 3e-6, 4.1e-5, 0.000256, 0.0003, 0.000511, 0.002,
+        0.0125, 0.9, 3.0, 67.108864, 200.0,
+    )
+    LE = (
+        "1e-06", "2e-06", "4e-06", "8e-06", "1.6e-05", "3.2e-05",
+        "6.4e-05", "0.000128", "0.000256", "0.000512", "0.001024",
+        "0.002048", "0.004096", "0.008192", "0.016384", "0.032768",
+        "0.065536", "0.131072", "0.262144", "0.524288", "1.048576",
+        "2.097152", "4.194304", "8.388608", "16.777216", "33.554432",
+        "67.108864", "+Inf",
+    )
+    CUMULATIVE = (
+        2, 2, 3, 3, 3, 3, 4, 4, 5, 7, 7, 8, 8, 8, 9, 9, 9, 9, 9, 9, 10, 10,
+        11, 11, 11, 11, 12, 13,
+    )
+
+    def test_fixed_snapshot_renders_the_octave_rows(self):
+        snapshot = MetricsSnapshot(
+            networks=(),
+            cache=CacheStats(0, 8, 0, 0, 0, 0, 0),
+            totals={},
+            latency=summarize_samples(self.SAMPLES),
+        )
+        family = [
+            line
+            for line in render_prometheus(snapshot).splitlines()
+            if "repro_event_latency_seconds" in line
+        ]
+        assert family == [
+            "# TYPE repro_event_latency_seconds_bucket histogram",
+            *(
+                f'repro_event_latency_seconds_bucket{{le="{le}"}} {count}'
+                for le, count in zip(self.LE, self.CUMULATIVE)
+            ),
+            "# TYPE repro_event_latency_seconds_sum histogram",
+            "repro_event_latency_seconds_sum 271.0244765",
+            "# TYPE repro_event_latency_seconds_count histogram",
+            "repro_event_latency_seconds_count 13",
+        ]
 
 
 class TestJson:

@@ -3,8 +3,16 @@ degraded queries, the deadline fast path, and metrics snapshots."""
 
 import pytest
 
+from repro.core.constructions import build
+from repro.core.hamilton import SolvePolicy
+from repro.core.model import PipelineNetwork
 from repro.core.pipeline import is_pipeline
-from repro.errors import ReconfigurationError, ReproError, ServiceOverloadError
+from repro.errors import (
+    BudgetExceededError,
+    ReconfigurationError,
+    ReproError,
+    ServiceOverloadError,
+)
 from repro.service import ControlPlane, ControlPlaneConfig
 
 
@@ -16,8 +24,6 @@ def make_fleet(plane, count=4, n=9, k=2):
 
 class TestRegistry:
     def test_register_by_parameters_and_instance(self):
-        from repro.core.constructions import build
-
         with ControlPlane() as plane:
             plane.register("a", n=6, k=2)
             plane.register("b", build(6, 2))
@@ -31,8 +37,6 @@ class TestRegistry:
                 plane.register("a", n=6, k=2)
 
     def test_bad_arguments_rejected(self):
-        from repro.core.constructions import build
-
         with ControlPlane() as plane:
             with pytest.raises(ReproError):
                 plane.register("x")
@@ -270,3 +274,28 @@ class TestLedgerSelfHealing:
             answer = plane.query_pipeline("net")
             assert answer.stale is False
             assert answer.faults_outstanding == frozenset()
+
+
+class TestFailedEventRecovery:
+    def test_duplicate_fault_after_a_failed_fault_serves_no_dead_node(self):
+        """After a fault whose re-embed raised, a duplicate fault must not
+        publish the old pipeline (still through the dead node) as a fresh
+        answer for the enlarged fault set."""
+        net = build(60, 4)
+        bare = PipelineNetwork(net.graph, net.inputs, net.outputs, n=60, k=4)
+        with ControlPlane() as plane:
+            plane.register("g", bare, policy=SolvePolicy(budget=20000))
+            for node in ("c14", "c15", "c20"):
+                plane.submit_fault("g", node).result(timeout=60)
+            with pytest.raises(BudgetExceededError):
+                plane.submit_fault("g", "c13").result(timeout=60)
+            try:
+                plane.submit_fault("g", "c14").result(timeout=60)
+            except ReproError:
+                pass
+            plane.wait()
+            answer = plane.query_pipeline("g")
+        assert is_pipeline(bare, answer.pipeline.nodes, answer.faults)
+        assert answer.faults | answer.faults_outstanding == {
+            "c13", "c14", "c15", "c20"
+        }

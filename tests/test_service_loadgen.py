@@ -1,4 +1,4 @@
-"""Service-plane load harness: workload generation, percentile math,
+"""Service-plane load harness: workload generation, the replay report,
 the cold/warm bench payload, and the smoke gate."""
 
 import json
@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
+from repro.obs.quantiles import SUB_BUCKETS, summarize_samples
 from repro.service import ControlPlane, ControlPlaneConfig
 from repro.service.loadgen import (
     build_workload,
@@ -14,7 +15,6 @@ from repro.service.loadgen import (
     run_load,
     run_service_bench,
     service_smoke_regressions,
-    summarize_latencies,
 )
 
 ROW_KEYS = {
@@ -28,27 +28,32 @@ ROW_KEYS = {
 
 
 class TestPercentiles:
+    """The harness's ``query_latency_s``/``solve_latency_s`` blocks are
+    ``LatencyHistogram`` summaries of the raw samples: each percentile
+    is at most 1/16 above the exact nearest-rank sample."""
+
     def test_empty_is_all_zero(self):
-        s = summarize_latencies([])
-        assert (s.count, s.mean, s.p50, s.p95, s.p99, s.max) == (
-            0, 0.0, 0.0, 0.0, 0.0, 0.0
-        )
+        s = summarize_samples([]).as_dict()
+        assert s == {
+            "count": 0, "mean": 0.0, "max": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0,
+        }
 
     def test_known_population(self):
-        s = summarize_latencies([i / 1000 for i in range(1, 101)])
-        assert s.count == 100
-        assert s.p50 == 0.050
-        assert s.p95 == 0.095
-        assert s.p99 == 0.099
-        assert s.max == 0.100
+        s = summarize_samples([i / 1000 for i in range(1, 101)]).as_dict()
+        assert s["count"] == 100
+        for key, exact in (("p50", 0.050), ("p95", 0.095), ("p99", 0.099)):
+            assert exact <= s[key] <= exact * (1 + 1 / SUB_BUCKETS)
+        assert s["max"] == 0.100
 
     def test_single_sample(self):
-        s = summarize_latencies([0.25])
-        assert s.p50 == s.p95 == s.p99 == s.max == 0.25
+        s = summarize_samples([0.25]).as_dict()
+        assert s["p50"] == s["p95"] == s["p99"] == s["max"] == 0.25
 
     def test_unsorted_input(self):
-        s = summarize_latencies([0.3, 0.1, 0.2])
-        assert s.p50 == 0.2 and s.max == 0.3
+        s = summarize_samples([0.3, 0.1, 0.2]).as_dict()
+        assert 0.2 <= s["p50"] <= 0.2 * (1 + 1 / SUB_BUCKETS)
+        assert s["max"] == 0.3
 
 
 class TestWorkload:
@@ -114,9 +119,9 @@ class TestServiceBench:
         for row in payload["rows"]:
             assert ROW_KEYS <= set(row)
             for block in ("query_latency_s", "solve_latency_s"):
-                assert {"count", "mean", "max", "p50", "p95", "p99"} <= set(
-                    row[block]
-                )
+                lat = row[block]
+                assert {"count", "mean", "max", "p50", "p95", "p99"} <= set(lat)
+                assert lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["max"]
         json.dumps(payload)  # JSON-serializable end to end
 
     def test_warm_phase_actually_warm(self, payload):

@@ -4,9 +4,19 @@ entry points into :class:`ReconfigurationSession`)."""
 import pytest
 
 from repro.core.constructions import build
+from repro.core.hamilton import SolvePolicy
+from repro.core.model import PipelineNetwork
 from repro.core.pipeline import Pipeline, is_pipeline
 from repro.core.session import ReconfigurationSession
-from repro.errors import ReconfigurationError
+from repro.errors import BudgetExceededError, ReconfigurationError, ReproError
+
+
+def bare_g60():
+    """G(60,4) without construction metadata, so ``reconfigure`` cannot
+    take the asymptotic fast path: with faults {c13, c14, c15, c20} the
+    generic solvers exhaust a small budget."""
+    net = build(60, 4)
+    return PipelineNetwork(net.graph, net.inputs, net.outputs, n=60, k=4)
 
 
 class TestRepair:
@@ -88,3 +98,32 @@ class TestCandidateAdoption:
         s.fail("p3", pipeline=wrong)
         assert s.pipeline is not wrong
         assert is_pipeline(s.network, s.pipeline.nodes, {"p3"})
+
+
+class TestServes:
+    def test_needs_every_healthy_processor_and_no_fault(self):
+        s = ReconfigurationSession(build(9, 2))
+        assert s.serves(set())
+        stage = s.pipeline.stages[0]
+        assert not s.serves({stage})        # routes through a fault
+        s.fail(stage)
+        assert s.serves({stage})
+        assert not s.serves(set())          # leaves a healthy processor out
+        spare = next(t for t in s.network.inputs if t not in s.pipeline.nodes)
+        assert s.serves({stage, spare})     # a terminal it does not use
+
+
+class TestFailedReembed:
+    """A re-embed that raises leaves the dead node in ``faults`` and the
+    pipeline still routed through it; no later event may keep it."""
+
+    def test_duplicate_fault_after_a_failed_fault_re_embeds(self):
+        s = ReconfigurationSession(bare_g60(), SolvePolicy(budget=20000))
+        s.fail_many(["c14", "c15", "c20"])
+        with pytest.raises(BudgetExceededError):
+            s.fail("c13")
+        try:
+            s.fail("c14")
+        except ReproError:
+            return
+        assert is_pipeline(s.network, s.pipeline.nodes, s.faults)
