@@ -18,12 +18,18 @@ Churn metrics per fault event:
 The session prefers minimally-disruptive embeddings by seeding the
 solver with the previous pipeline's order, then falls back to the
 construction's own reconfiguration algorithm.
+
+Every pipeline the session adopts is checked with :func:`is_pipeline`
+exactly once, where it is produced: a caller's candidate, a local
+repair, a splice or a seeded solve.  Churn totals are running sums, so
+the session keeps no per-event history and :meth:`~ReconfigurationSession.
+total_moved` and :meth:`~ReconfigurationSession.mean_churn` cost O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Hashable, Iterable
+from dataclasses import dataclass
+from typing import AbstractSet, Hashable, Iterable, Sequence
 
 from ..errors import ReconfigurationError
 from ..obs.spans import annotate, child_span
@@ -45,6 +51,8 @@ class ChurnRecord:
     moved: int
     kept: int
     was_on_pipeline: bool
+    #: the event adopted the caller's candidate pipeline (no solve ran).
+    adopted: bool = False
 
     @property
     def churn(self) -> float:
@@ -94,9 +102,14 @@ class ReconfigurationSession:
         self.policy = policy or SolvePolicy()
         self.minimize_churn = minimize_churn
         self.faults: set[Node] = set()
-        self.history: list[ChurnRecord] = []
         self.pipeline: Pipeline = reconfigure(network, (), self.policy)
         self._processors = network.processors
+        # running churn totals: the events applied so far, the stages they
+        # moved, and the churn ratios of the events that re-embedded
+        self._events = 0
+        self._moved = 0
+        self._churn_sum = 0.0
+        self._reembeds = 0
 
     @property
     def healthy_processors(self) -> frozenset:
@@ -206,20 +219,39 @@ class ReconfigurationSession:
                 return repaired
         return None
 
+    def _valid(
+        self, candidate: Pipeline | Sequence[Node] | None
+    ) -> Pipeline | None:
+        """*candidate* as a :class:`Pipeline` when it is one of the network
+        under the current faults, else ``None`` — the session's one check.
+
+        A bare node sequence (a cached row) is untrusted: it is checked
+        before a :class:`Pipeline` is built from it, so a malformed one is
+        rejected rather than raised on.
+        """
+        if candidate is None or not is_pipeline(
+            self.network, candidate, self.faults
+        ):
+            return None
+        if isinstance(candidate, Pipeline):
+            return candidate
+        return Pipeline.oriented(candidate, self.network)
+
     def _stable_reembed(self, dead: Node) -> Pipeline | None:
         """Minimal-churn re-embedding: local repair first, then a
-        previous-order-seeded heuristic."""
-        repaired = self._local_repair(dead)
-        if repaired is not None and is_pipeline(
-            self.network, repaired.nodes, self.faults
-        ):
+        previous-order-seeded heuristic.  Returns a validated pipeline or
+        ``None``."""
+        repaired = self._valid(self._local_repair(dead))
+        if repaired is not None:
             annotate(path="local_repair")
             return repaired
         inst = SpanningPathInstance(self.network.surviving(self.faults))
         if inst.trivial is not None:
             if inst.trivial.status is Status.FOUND:
                 annotate(path="trivial")
-                return Pipeline.oriented(inst.trivial.path, self.network)
+                return self._valid(
+                    Pipeline.oriented(inst.trivial.path, self.network)
+                )
             return None
         order = [
             inst.index[p] for p in self.pipeline.stages if p in inst.index
@@ -234,16 +266,44 @@ class ReconfigurationSession:
             )
         if report.status is Status.FOUND:
             annotate(path="seeded_solve")
-            return Pipeline.oriented(report.path, self.network)
+            return self._valid(Pipeline.oriented(report.path, self.network))
         return None
 
-    def fail(self, node: Node, *, pipeline: Pipeline | None = None) -> ChurnRecord:
+    def _record(
+        self, node: Node, old: Pipeline | None, *, adopted: bool = False
+    ) -> ChurnRecord:
+        """Account one applied event against the running totals.  *old* is
+        the pipeline the event replaced (``None`` when it was kept)."""
+        if old is None:
+            moved, kept = 0, self.pipeline.length
+        else:
+            moved, kept = pipeline_churn(old, self.pipeline)
+        record = ChurnRecord(
+            fault=node,
+            fault_index=self._events,
+            healthy_processors=len(self.healthy_processors),
+            moved=moved,
+            kept=kept,
+            was_on_pipeline=old is not None,
+            adopted=adopted,
+        )
+        self._events += 1
+        self._moved += moved
+        if old is not None:
+            self._churn_sum += record.churn
+            self._reembeds += 1
+        return record
+
+    def fail(
+        self, node: Node, *, pipeline: Pipeline | Sequence[Node] | None = None
+    ) -> ChurnRecord:
         """Inject one fault and re-embed if needed.
 
-        When *pipeline* is given (e.g. from a witness cache) and it is a
-        valid pipeline of ``network \\ (faults | {node})``, it is adopted
-        without invoking any solver; an invalid candidate is silently
-        ignored and the normal re-embedding runs.
+        When *pipeline* is given (e.g. a witness cache's node sequence) and
+        it is a valid pipeline of ``network \\ (faults | {node})``, it is
+        adopted without invoking any solver and the record says
+        ``adopted``; an invalid candidate is ignored and the normal
+        re-embedding runs.
 
         The current pipeline is kept as is when it still :meth:`serves`
         the enlarged fault set.
@@ -253,33 +313,17 @@ class ReconfigurationSession:
         """
         if node not in self.network.graph:
             raise ReconfigurationError(f"{node!r} is not a node of the network")
-        idx = len(self.history)
         self.faults.add(node)
         if self.serves(self.faults):
-            record = ChurnRecord(
-                fault=node,
-                fault_index=idx,
-                healthy_processors=len(self.healthy_processors),
-                moved=0,
-                kept=self.pipeline.length,
-                was_on_pipeline=False,
-            )
-            self.history.append(record)
-            return record
+            return self._record(node, None)
         old = self.pipeline
-        new: Pipeline | None = None
-        if pipeline is not None and is_pipeline(
-            self.network, pipeline.nodes, self.faults
-        ):
-            new = pipeline
+        new = self._valid(pipeline)
+        adopted = new is not None
+        if adopted:
             annotate(path="witness_adopted")
         if new is None and self.minimize_churn:
             with child_span("stable_reembed", node=repr(node)) as rspan:
                 new = self._stable_reembed(node)
-                if new is not None and not is_pipeline(
-                    self.network, new.nodes, self.faults
-                ):
-                    new = None
                 rspan.set(found=new is not None)
             if new is not None:
                 annotate(path="stable_reembed")
@@ -287,18 +331,8 @@ class ReconfigurationSession:
             with child_span("reconfigure_full", node=repr(node)):
                 new = reconfigure(self.network, self.faults, self.policy)
             annotate(path="reconfigure_full")
-        moved, kept = pipeline_churn(old, new)
         self.pipeline = new
-        record = ChurnRecord(
-            fault=node,
-            fault_index=idx,
-            healthy_processors=len(self.healthy_processors),
-            moved=moved,
-            kept=kept,
-            was_on_pipeline=True,
-        )
-        self.history.append(record)
-        return record
+        return self._record(node, old, adopted=adopted)
 
     def fail_many(self, nodes: Iterable[Node]) -> list[ChurnRecord]:
         """Inject faults one at a time, in order."""
@@ -319,7 +353,9 @@ class ReconfigurationSession:
                 return Pipeline(nodes[: i + 1] + [node] + nodes[i + 1:])
         return None
 
-    def repair(self, node: Node, *, pipeline: Pipeline | None = None) -> ChurnRecord:
+    def repair(
+        self, node: Node, *, pipeline: Pipeline | Sequence[Node] | None = None
+    ) -> ChurnRecord:
         """Revive a previously failed node and re-embed if needed.
 
         Reviving a *terminal* leaves a valid pipeline valid (the interior —
@@ -338,33 +374,17 @@ class ReconfigurationSession:
         """
         if node not in self.faults:
             raise ReconfigurationError(f"{node!r} is not currently failed")
-        idx = len(self.history)
         self.faults.discard(node)
         if self.serves(self.faults):
-            record = ChurnRecord(
-                fault=node,
-                fault_index=idx,
-                healthy_processors=len(self.healthy_processors),
-                moved=0,
-                kept=self.pipeline.length,
-                was_on_pipeline=False,
-            )
-            self.history.append(record)
-            return record
+            return self._record(node, None)
         old = self.pipeline
-        new: Pipeline | None = None
-        if pipeline is not None and is_pipeline(
-            self.network, pipeline.nodes, self.faults
-        ):
-            new = pipeline
+        new = self._valid(pipeline)
+        adopted = new is not None
+        if adopted:
             annotate(path="witness_adopted")
         if new is None and self.minimize_churn:
             with child_span("splice_repair", node=repr(node)) as rspan:
-                new = self._splice_in(node)
-                if new is not None and not is_pipeline(
-                    self.network, new.nodes, self.faults
-                ):
-                    new = None
+                new = self._valid(self._splice_in(node))
                 rspan.set(found=new is not None)
             if new is not None:
                 annotate(path="splice_repair")
@@ -372,24 +392,13 @@ class ReconfigurationSession:
             with child_span("reconfigure_full", node=repr(node)):
                 new = reconfigure(self.network, self.faults, self.policy)
             annotate(path="reconfigure_full")
-        moved, kept = pipeline_churn(old, new)
         self.pipeline = new
-        record = ChurnRecord(
-            fault=node,
-            fault_index=idx,
-            healthy_processors=len(self.healthy_processors),
-            moved=moved,
-            kept=kept,
-            was_on_pipeline=True,
-        )
-        self.history.append(record)
-        return record
+        return self._record(node, old, adopted=adopted)
 
     def total_moved(self) -> int:
-        return sum(r.moved for r in self.history)
+        """Stages moved over every event so far."""
+        return self._moved
 
     def mean_churn(self) -> float:
-        relevant = [r for r in self.history if r.was_on_pipeline]
-        if not relevant:
-            return 0.0
-        return sum(r.churn for r in relevant) / len(relevant)
+        """Mean churn ratio over the events that re-embedded."""
+        return self._churn_sum / self._reembeds if self._reembeds else 0.0

@@ -8,7 +8,14 @@
   sampling for instances too large to exhaust;
 * :mod:`repro.core.verify.adversarial` — structure-aware fault-set
   generators that target the constructions' weak spots.
+
+The numpy-backed engine (:mod:`~repro.core.verify.batch`,
+:mod:`~repro.core.verify.parallel`, :mod:`~repro.core.verify.shm`) loads
+on first use of one of its names, so importing the package — as every
+serving process does — does not import numpy.
 """
+
+from importlib import import_module
 
 from .adversarial import (
     ADVERSARIAL_GENERATORS,
@@ -18,7 +25,6 @@ from .adversarial import (
     terminal_attack,
     uniform_faults,
 )
-from .batch import WitnessKernel
 from .certificates import VerificationCertificate, VerificationMode
 from .exhaustive import (
     gray_unrank,
@@ -27,10 +33,8 @@ from .exhaustive import (
     iter_gray_indices,
     verify_exhaustive,
 )
-from .parallel import verify_exhaustive_parallel
 from .regression import replay as replay_regression_vectors
 from .sampling import verify_sampled
-from .shm import SharedSweepContext, ShmWorkerPool
 from .symmetry import (
     CanonicalVerdictCache,
     orbit_representatives,
@@ -69,3 +73,18 @@ __all__ = [
     "neighborhood_attack",
     "segment_attack",
 ]
+
+#: names resolved from their numpy-backed module on first access
+_LAZY = {
+    "WitnessKernel": ".batch",
+    "verify_exhaustive_parallel": ".parallel",
+    "SharedSweepContext": ".shm",
+    "ShmWorkerPool": ".shm",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(module, __name__), name)

@@ -145,7 +145,6 @@ def render_prometheus(snapshot, *, anomalies: Mapping[str, int] | None = None) -
         "stores",
         "evictions",
         "invalid",
-        "checksum_skips",
     ):
         kind = "gauge" if field in ("size", "capacity") else "counter"
         suffix = "" if kind == "gauge" else "_total"

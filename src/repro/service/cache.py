@@ -10,23 +10,14 @@ orbit — so the control plane memoizes every validated pipeline under a
 Entries are stored in *canonical* label space (the automorphism image
 chosen by :class:`~repro.service.canonical.Canonicalizer`), which is what
 makes symmetric hits possible: the caller maps the cached sequence back
-through the inverse automorphism before serving it, and re-validates
-against the live fault set (a failed validation counts as ``invalid`` and
-falls through to the solver — the cache can only ever save work, never
-corrupt an answer).
+through the inverse automorphism before serving it.  A row is never
+trusted: the session that adopts it checks it with ``is_pipeline``
+against the live fault set, and a row it rejects is dropped
+(:meth:`WitnessCache.invalidate`) and the event solved as a miss — the
+cache can only ever save work, never corrupt an answer.
 
-Re-validation itself is not free, so rows optionally carry the
-*structural checksum* of the network at store time
-(:func:`~repro.service.canonical.structural_checksum`).  A hit whose
-stored checksum matches the caller's live checksum is served with the
-validation skipped — the stored entry was fully validated against the
-very same labeled graph and canonical fault set — and the skip is
-counted; a mismatch (or a row stored without a checksum) falls back to
-the full ``is_pipeline`` check.
-
-Eviction is LRU with a fixed capacity; hits, misses, stores, evictions,
-invalidations and checksum-skipped validations are counted for the
-metrics snapshot.
+Eviction is LRU with a fixed capacity; hits, misses, stores, evictions
+and invalidations are counted for the metrics snapshot.
 """
 
 from __future__ import annotations
@@ -55,8 +46,6 @@ class CacheStats:
     stores: int
     evictions: int
     invalid: int
-    #: hits served without re-validation (structural checksum matched).
-    checksum_skips: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -69,9 +58,9 @@ class WitnessCache:
 
     >>> cache = WitnessCache(capacity=2)
     >>> cache.store("net", ("'p1'",), ("i0", "p0", "o0"))
-    >>> cache.lookup("net", ("'p1'",))
+    >>> cache.lookup_validated("net", ("'p1'",))
     ('i0', 'p0', 'o0')
-    >>> cache.lookup("net", ("'p2'",)) is None
+    >>> cache.lookup_validated("net", ("'p2'",)) is None
     True
     >>> cache.stats().hits, cache.stats().misses
     (1, 1)
@@ -81,101 +70,51 @@ class WitnessCache:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._rows: OrderedDict[
-            CacheRow, tuple[tuple[Node, ...], int | None]
-        ] = OrderedDict()
+        self._rows: OrderedDict[CacheRow, tuple[Node, ...]] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._stores = 0
         self._evictions = 0
         self._invalid = 0
-        self._checksum_skips = 0
-
-    def lookup(self, fingerprint: str, key: FaultKey) -> tuple[Node, ...] | None:
-        """The cached canonical-space pipeline for a row, or ``None``.
-
-        A hit refreshes the row's recency.
-        """
-        row = (fingerprint, key)
-        with self._lock:
-            entry = self._rows.get(row)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._rows.move_to_end(row)
-            self._hits += 1
-            return entry[0]
 
     def lookup_validated(
-        self, fingerprint: str, key: FaultKey, checksum: int | None
-    ) -> tuple[tuple[Node, ...], bool] | None:
-        """Like :meth:`lookup`, but also reports whether *checksum*
-        matches the one recorded at store time.
+        self, fingerprint: str, key: FaultKey
+    ) -> tuple[Node, ...] | None:
+        """The cached canonical-space pipeline for a row, or ``None``.
 
-        Returns ``(nodes, checksum_ok)`` or ``None`` on a miss.  When
-        ``checksum_ok`` is true the caller may serve the entry without
-        re-validating (the skip is counted); when false — the network
-        structure changed, the row predates checksums, or the caller
-        passed ``None`` — full re-validation is required.
+        A hit refreshes the row's recency.  The nodes are a candidate the
+        caller still validates (the session checks every adopted row), and
+        one that fails is dropped with :meth:`invalidate`.
         """
         row = (fingerprint, key)
         with self._lock:
-            entry = self._rows.get(row)
-            if entry is None:
+            nodes = self._rows.get(row)
+            if nodes is None:
                 self._misses += 1
-                result = None
             else:
                 self._rows.move_to_end(row)
                 self._hits += 1
-                nodes, stored = entry
-                ok = checksum is not None and stored == checksum
-                if ok:
-                    self._checksum_skips += 1
-                result = (nodes, ok)
         # annotate outside the lock: the active-span stack is thread-local
-        if result is None:
-            annotate(tier="memory", result="miss")
-        else:
-            annotate(tier="memory", result="hit", checksum_ok=result[1])
-        return result
+        annotate(tier="memory", result="miss" if nodes is None else "hit")
+        return nodes
 
     def store(
-        self,
-        fingerprint: str,
-        key: FaultKey,
-        nodes: tuple[Node, ...],
-        checksum: int | None = None,
+        self, fingerprint: str, key: FaultKey, nodes: tuple[Node, ...]
     ) -> None:
-        """Insert (or refresh) a row, evicting the least recently used.
-
-        *checksum* is the network's structural checksum at validation
-        time (``None`` disables the skip-validation fast path for this
-        row).
-        """
+        """Insert (or refresh) a row, evicting the least recently used."""
         row = (fingerprint, key)
         with self._lock:
-            self._rows[row] = (tuple(nodes), checksum)
+            self._rows[row] = tuple(nodes)
             self._rows.move_to_end(row)
             self._stores += 1
             while len(self._rows) > self.capacity:
                 self._rows.popitem(last=False)
                 self._evictions += 1
 
-    def invalidate_hit(self) -> None:
-        """Record that a served entry failed live validation (the caller
-        fell through to the solver)."""
-        with self._lock:
-            self._invalid += 1
-
     def invalidate(self, fingerprint: str, key: FaultKey) -> None:
-        """Record a failed live validation *and* drop the offending row,
-        so a bad entry cannot keep being served and re-failing.
-
-        (:meth:`invalidate_hit` only counted; leaving the row in place
-        was a pre-existing rough edge — an invalid entry stayed resident
-        until LRU pressure evicted it.)
-        """
+        """Record that a served row failed live validation and drop it, so
+        a bad entry cannot keep being served and re-failing."""
         row = (fingerprint, key)
         with self._lock:
             self._invalid += 1
@@ -220,5 +159,4 @@ class WitnessCache:
                 stores=self._stores,
                 evictions=self._evictions,
                 invalid=self._invalid,
-                checksum_skips=self._checksum_skips,
             )

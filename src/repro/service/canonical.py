@@ -34,7 +34,6 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-import zlib
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from ..core.model import PipelineNetwork
@@ -69,32 +68,6 @@ def network_fingerprint(network: PipelineNetwork) -> str:
     for edge in sorted(tuple(sorted(map(repr, e))) for e in network.graph.edges):
         h.update(repr(edge).encode())
     return h.hexdigest()
-
-
-def structural_checksum(network: PipelineNetwork) -> int:
-    """A cheap, order-insensitive checksum of the live labeled structure.
-
-    XOR of per-edge/per-terminal CRCs — no sorting, no serialization of
-    the whole graph — so the control plane can afford to recompute it on
-    *every* witness-cache hit.  When the checksum recorded at store time
-    still matches, the stored pipeline's full :func:`is_pipeline`
-    validation provably still applies (same labeled graph, same
-    canonical fault set) and the hit path skips re-validation; any
-    mutation of the graph flips the checksum and forces the full check.
-    Unlike :func:`network_fingerprint` this is not collision-hardened —
-    it gates a *validation shortcut*, not row identity.
-    """
-    acc = network.graph.number_of_nodes()
-    for u, v in network.graph.edges():
-        a, b = repr(u), repr(v)
-        if b < a:
-            a, b = b, a
-        acc ^= zlib.crc32(f"{a}~{b}".encode())
-    for t in network.inputs:
-        acc ^= zlib.crc32(f"i:{t!r}".encode())
-    for t in network.outputs:
-        acc ^= zlib.crc32(f"o:{t!r}".encode())
-    return acc
 
 
 def plain_fault_key(faults: Iterable[Node]) -> FaultKey:
@@ -171,6 +144,10 @@ def decode_nodes(text: str) -> tuple[Node, ...]:
         raise ReproError(f"undecodable pipeline row: {exc}") from None
     if not isinstance(parsed, tuple):
         raise ReproError("pipeline row did not decode to a tuple")
+    try:
+        hash(parsed)
+    except TypeError:
+        raise ReproError("pipeline row holds an unhashable label") from None
     return parsed
 
 
@@ -251,8 +228,13 @@ class Canonicalizer:
 
     @staticmethod
     def map_back(nodes: Sequence[Node], sigma: dict | None) -> tuple[Node, ...]:
-        """Apply ``sigma^{-1}`` to a node sequence (identity when ``None``)."""
+        """Apply ``sigma^{-1}`` to a node sequence (identity when ``None``).
+
+        A label outside the network (a corrupt cached row) has no preimage
+        and passes through unchanged, so the validation that every cached
+        row gets rejects it instead of this lookup raising.
+        """
         if sigma is None:
             return tuple(nodes)
         inverse = {w: v for v, w in sigma.items()}
-        return tuple(inverse[v] for v in nodes)
+        return tuple(inverse.get(v, v) for v in nodes)

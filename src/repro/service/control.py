@@ -21,8 +21,11 @@ queries read immutable atomically-published snapshots without locking
 
 **Witness caching.**  Before solving, the target fault set is
 canonicalized (:mod:`repro.service.canonical`) and looked up in the
-:class:`~repro.service.cache.WitnessCache`; a validated hit is adopted
-without invoking any solver.  Rows are keyed by structural fingerprint, so
+:class:`~repro.service.cache.WitnessCache`; a hit is mapped back and
+handed to the session, whose one ``is_pipeline`` check decides whether it
+is adopted without invoking any solver.  A row the session rejects is
+dropped, flagged as a ``validation_failure`` anomaly and handled as a
+miss.  Rows are keyed by structural fingerprint, so
 replicas of the same deterministic build share entries, and — for
 symmetric networks such as vertex-transitive circulants — whole
 automorphism orbits of fault patterns collapse onto single rows.
@@ -54,7 +57,7 @@ from typing import Hashable, Iterator
 from ..core.constructions import build
 from ..core.hamilton import SolvePolicy
 from ..core.model import PipelineNetwork
-from ..core.pipeline import Pipeline, is_pipeline
+from ..core.pipeline import Pipeline
 from ..core.reconfigure import fast_solve_policy
 from ..core.session import ChurnRecord, ReconfigurationSession
 from ..errors import ReproError, ServiceOverloadError
@@ -62,7 +65,7 @@ from ..obs.quantiles import LatencyHistogram
 from ..obs.recorder import FlightRecorder
 from ..obs.spans import NOOP_TRACER, Tracer
 from .cache import WitnessCache
-from .canonical import Canonicalizer, network_fingerprint, structural_checksum
+from .canonical import Canonicalizer, network_fingerprint
 from .mailbox import AtomicCounters, Mailbox
 from .metrics import (
     COUNTER_NAMES,
@@ -74,6 +77,12 @@ from .metrics import (
 Node = Hashable
 
 
+#: recent event records kept for the snapshot (the counters keep totals).
+RECORD_RING = 1024
+#: weight of the newest solve in a network's solve-cost EWMA.
+EWMA_ALPHA = 0.3
+
+
 @dataclass(frozen=True)
 class ControlPlaneConfig:
     """Operational knobs for the control plane.
@@ -81,30 +90,21 @@ class ControlPlaneConfig:
     ``deadline`` is the solve-latency budget in seconds: once a network's
     EWMA solve cost exceeds it, later solves use the trimmed fast-path
     policy (``None`` disables; ``0.0`` forces the fast path after the
-    first measured solve).  ``degraded_after`` is the backlog depth at
-    which ``query_pipeline`` starts answering degraded.
+    first measured solve).  Symmetry detection, the write-behind queue
+    and warm start run with the defaults of
+    :class:`~repro.service.canonical.Canonicalizer` and
+    :class:`~repro.service.tiering.TieredWitnessCache`.
     """
 
     workers: int = 4
     max_pending: int = 64
-    degraded_after: int = 1
     deadline: float | None = None
     cache_capacity: int = 256
-    symmetry: str = "auto"        # "auto" | "off" | "full"
-    symmetry_max_nodes: int = 64
-    symmetry_limit: int = 512
-    record_ring: int = 1024
-    ewma_alpha: float = 0.3
     #: path of the persistent witness store (SQLite); ``None`` keeps the
     #: cache purely in-memory.  The plane owns (and closes) a store it
     #: opened itself.
     store_path: str | None = None
     store_max_rows: int | None = None
-    #: per-fingerprint row limit batch-loaded into the memory LRU on
-    #: ``register`` (``None`` = everything persisted for the fingerprint).
-    warm_limit: int | None = 1024
-    write_behind_depth: int = 256
-    write_behind_batch: int = 64
     #: enable causal tracing: every event/query gets a span tree and a
     #: flight recorder captures recent spans + anomaly dumps.  Off by
     #: default — the no-op tracer costs nothing on the event path.
@@ -200,12 +200,7 @@ class ManagedNetwork:
         self.fast_policy = fast_solve_policy(network, self.full_policy)
         self.session = ReconfigurationSession(network, self.full_policy)
         self.fingerprint = network_fingerprint(network)
-        self.canon = Canonicalizer(
-            network,
-            mode=config.symmetry,
-            max_nodes=config.symmetry_max_nodes,
-            limit=config.symmetry_limit,
-        )
+        self.canon = Canonicalizer(network)
         self.mailbox = Mailbox(config.max_pending)
         self.answer_published = PublishedState(
             self.session.pipeline, frozenset()
@@ -267,8 +262,6 @@ class ControlPlane:
                         self.config.store_path,
                         max_rows=self.config.store_max_rows,
                     ),
-                    write_behind_depth=self.config.write_behind_depth,
-                    write_behind_batch=self.config.write_behind_batch,
                 )
             else:
                 cache = WitnessCache(self.config.cache_capacity)
@@ -292,7 +285,7 @@ class ControlPlane:
         )
         self._lock = threading.Lock()
         self._seq = 0
-        self._records: deque[EventRecord] = deque(maxlen=self.config.record_ring)
+        self._records: deque[EventRecord] = deque(maxlen=RECORD_RING)
         self._latency = LatencyHistogram()
         self._closed = False
 
@@ -311,9 +304,9 @@ class ControlPlane:
         """Add a network to the fleet, either an existing instance or a
         factory build for ``(n, k)``.  The initial (fault-free) pipeline is
         solved synchronously and seeded into the witness cache; when a
-        persistent witness tier is attached, every stored row for the
-        network's structural fingerprint that survives live
-        ``is_pipeline`` re-validation is batch-loaded into the in-memory
+        persistent witness tier is attached, the newest stored rows for
+        the network's structural fingerprint that survive live
+        ``is_pipeline`` re-validation are batch-loaded into the in-memory
         LRU (warm start)."""
         if self._closed:
             raise ReproError("control plane is closed")
@@ -324,15 +317,12 @@ class ControlPlane:
         if network is None:
             network = build(n, k)  # type: ignore[arg-type]
         managed = ManagedNetwork(name, network, policy, self.config)
-        self.cache.warm_start(
-            network, managed.fingerprint, limit=self.config.warm_limit
-        )
+        self.cache.warm_start(network, managed.fingerprint)
         key, sigma = managed.canon.canonical(frozenset())
         self.cache.store(
             managed.fingerprint,
             key,
             Canonicalizer.map_forward(managed.session.pipeline.nodes, sigma),
-            checksum=structural_checksum(network),
         )
         with self._lock:
             if name in self._managed:
@@ -415,16 +405,16 @@ class ControlPlane:
     def query_pipeline(self, name: str) -> PipelineAnswer:
         """The current pipeline for *name* — never blocks on a solve.
 
-        With backlog at or above ``degraded_after`` the answer is flagged
-        ``degraded``: it is the last-known-good pipeline, valid for the
-        fault set it was solved under, not for the still-queued events.
+        While any event is queued the answer is flagged ``degraded``: it
+        is the last-known-good pipeline, valid for the fault set it was
+        solved under, not for the still-queued events.
         """
         t0 = time.perf_counter()
         m = self._managed[name]
         with self.tracer.span("query", network=name) as qspan:
             backlog = m.mailbox.backlog()
             m.counters.bump("queries")
-            degraded = backlog >= self.config.degraded_after
+            degraded = backlog > 0
             if degraded:
                 m.counters.bump("degraded_served")
             # lock-free reads of atomically-published immutable snapshots:
@@ -581,67 +571,71 @@ class ControlPlane:
                 "canonicalize", parent=event.span, network=m.name
             ):
                 key, sigma = m.canon.canonical(target)
-                live_checksum = structural_checksum(m.network)
-            candidate: Pipeline | None = None
-            validation_failed = False
             with self.tracer.span(
                 "cache_lookup", parent=event.span, network=m.name
-            ) as lspan:
-                found = self.cache.lookup_validated(
-                    m.fingerprint, key, live_checksum
-                )
-                if found is not None:
-                    cached, checksum_ok = found
-                    nodes = Canonicalizer.map_back(cached, sigma)
-                    # a matching structural checksum means the stored entry's
-                    # full validation still applies verbatim; only a mutated
-                    # graph (or a checksum-less row) pays is_pipeline again
-                    if checksum_ok or is_pipeline(m.network, nodes, target):
-                        candidate = Pipeline.oriented(nodes, m.network)
-                        lspan.set(validated=True)
-                    else:
-                        # drop the bad row from every tier (memory + disk),
-                        # not just count it — it can never become valid again
-                        self.cache.invalidate(m.fingerprint, key)
-                        lspan.set(validated=False)
-                        validation_failed = True
-            if validation_failed and self.recorder is not None:
-                self.recorder.note_anomaly(
-                    "validation_failure",
-                    "cached witness failed live is_pipeline re-validation",
-                    network=m.name,
-                    extra={"kind": event.kind, "node": repr(node)},
-                )
-            if candidate is not None:
+            ):
+                cached = self.cache.lookup_validated(m.fingerprint, key)
+            fast = (
+                self.config.deadline is not None
+                and m.ewma is not None
+                and m.ewma > self.config.deadline
+            )
+            # set before either path: a cached row the session rejects
+            # falls through to a solve inside the same call
+            session.policy = m.fast_policy if fast else m.full_policy
+            t_apply = time.perf_counter()
+            adopted = False
+            try:
+                if cached is not None:
+                    # the session's is_pipeline check is the one
+                    # validation a cached row gets
+                    with self.tracer.span(
+                        "adopt", parent=event.span, network=m.name
+                    ) as aspan:
+                        rec = self._apply(
+                            session,
+                            event.kind,
+                            node,
+                            Canonicalizer.map_back(cached, sigma),
+                        )
+                        adopted = rec.adopted
+                        aspan.set(adopted=adopted)
+                else:
+                    # the solve span is *active* while the session works,
+                    # so the session's own child_span() phases nest under it
+                    with self.tracer.span(
+                        "solve",
+                        parent=event.span,
+                        network=m.name,
+                        solver="fast" if fast else "full",
+                    ):
+                        rec = self._apply(session, event.kind, node, None)
+            finally:
+                if cached is not None and not adopted:
+                    # the session rejected the row: drop it from every tier
+                    # (memory + disk), even when the solve it fell through
+                    # to raised, since it can never become valid
+                    self.cache.invalidate(m.fingerprint, key)
+                    if self.recorder is not None:
+                        self.recorder.note_anomaly(
+                            "validation_failure",
+                            "cached witness failed live is_pipeline "
+                            "validation",
+                            network=m.name,
+                            extra={"kind": event.kind, "node": repr(node)},
+                        )
+            if adopted:
                 solver = "cache"
                 cache_hit = True
-                with self.tracer.span(
-                    "adopt", parent=event.span, network=m.name
-                ):
-                    rec = self._apply(session, event.kind, node, candidate)
             else:
-                fast = (
-                    self.config.deadline is not None
-                    and m.ewma is not None
-                    and m.ewma > self.config.deadline
-                )
-                session.policy = m.fast_policy if fast else m.full_policy
                 solver = "fast" if fast else "full"
-                t_solve = time.perf_counter()
-                # the solve span is *active* while the session works, so
-                # the session's own child_span() phases nest under it
-                with self.tracer.span(
-                    "solve", parent=event.span, network=m.name, solver=solver
-                ):
-                    rec = self._apply(session, event.kind, node, None)
-                solve_cost = time.perf_counter() - t_solve
-                alpha = self.config.ewma_alpha
+                solve_cost = time.perf_counter() - t_apply
                 # drain-worker exclusive (the mailbox claim guarantees at
                 # most one active worker per network) — no lock needed
                 m.ewma = (
                     solve_cost
                     if m.ewma is None
-                    else (1 - alpha) * m.ewma + alpha * solve_cost
+                    else (1 - EWMA_ALPHA) * m.ewma + EWMA_ALPHA * solve_cost
                 )
                 with self.tracer.span(
                     "cache_store", parent=event.span, network=m.name
@@ -652,7 +646,6 @@ class ControlPlane:
                         Canonicalizer.map_forward(
                             session.pipeline.nodes, sigma
                         ),
-                        checksum=live_checksum,
                     )
 
         # one atomic publication: pipeline, fault set and churn totals are
@@ -695,7 +688,7 @@ class ControlPlane:
         session: ReconfigurationSession,
         kind: str,
         node: Node,
-        pipeline: Pipeline | None,
+        pipeline: tuple[Node, ...] | None,
     ) -> ChurnRecord:
         if kind == "fault":
             return session.fail(node, pipeline=pipeline)

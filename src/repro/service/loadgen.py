@@ -50,8 +50,6 @@ from .._util import as_rng, host_meta
 from ..errors import ReproError, ServiceOverloadError
 from ..obs.exposition import phase_breakdown
 from ..obs.quantiles import LatencyHistogram, summarize_samples
-from ..simulator.faults import poisson_fault_schedule
-from ..simulator.fleet import timed_fleet_trace
 from .control import ControlPlane, ControlPlaneConfig
 from .trace import TraceEvent, demo_ring_network, random_trace
 
@@ -102,6 +100,11 @@ def build_workload(
             timed.append((at, ev))
         return timed
     if profile == "poisson":
+        # imported here: the simulator loads numpy, which nothing else a
+        # serving process runs needs
+        from ..simulator.faults import poisson_fault_schedule
+        from ..simulator.fleet import timed_fleet_trace
+
         names = list(plane.names)
         horizon = events / rate
         # split the requested event budget: roughly a third faults (each
@@ -230,7 +233,6 @@ def _phase_row(
         "cache_hits": cache.hits,
         "cache_misses": cache.misses,
         "cache_hit_rate": cache.hit_rate,
-        "checksum_skips": cache.checksum_skips,
         "store_rows": store.rows if store else 0,
         "warm_loaded": store.warm_loaded if store else 0,
         "persist_hits": store.persist_hits if store else 0,

@@ -130,7 +130,6 @@ class MetricsSnapshot:
                 "stores": self.cache.stores,
                 "evictions": self.cache.evictions,
                 "invalid": self.cache.invalid,
-                "checksum_skips": self.cache.checksum_skips,
                 "hit_rate": self.cache.hit_rate,
             },
             "store": (
@@ -170,8 +169,7 @@ class MetricsSnapshot:
             f"queries {t.get('queries', 0)})",
             f"  witness cache: {self.cache.hits} hits / {self.cache.misses} misses "
             f"(rate {self.cache.hit_rate:.0%}), {self.cache.size}/{self.cache.capacity} rows, "
-            f"{self.cache.evictions} evicted, {self.cache.invalid} invalidated, "
-            f"{self.cache.checksum_skips} validations skipped",
+            f"{self.cache.evictions} evicted, {self.cache.invalid} invalidated",
             f"  degradation: {t.get('shed', 0)} shed, "
             f"{t.get('degraded_served', 0)} degraded answers "
             f"({t.get('stale_served', 0)} with outstanding faults), "

@@ -12,13 +12,17 @@ fingerprint is available fleet-wide, forever.
 Rows are serialized with the deterministic, round-trip-verified text
 forms from :mod:`repro.service.canonical` (``encode_fault_key`` /
 ``encode_nodes``).  **Persisted bytes are never trusted**: this module
-only decodes and hands rows up; the tiering layer
-(:mod:`repro.service.tiering`) re-validates every row against
-:func:`~repro.core.pipeline.is_pipeline` before anything is served, and
-calls :meth:`WitnessStore.note_validation_failure` to count and delete
-rows that fail.  A row that fails to *decode* (torn write, truncated
-text, wrong type) is treated identically: counted, deleted, reported as
-absent.
+only decodes and hands rows up; every row is checked against
+:func:`~repro.core.pipeline.is_pipeline` before anything is served (at
+warm start by :mod:`repro.service.tiering`, on a cache-aside read by the
+session that adopts it), and a row that fails is counted and deleted
+through :meth:`WitnessStore.note_validation_failure`.  A row that fails
+to *decode* (torn write, truncated text, wrong type, an unhashable
+label) is treated identically: counted, deleted, reported as absent.
+
+Files written before the schema dropped its ``checksum`` column keep
+that nullable column; every statement names its columns, so such a file
+opens, serves and takes writes, and the column is never read.
 
 Thread safety: one connection guarded by one lock (the connection is
 created with ``check_same_thread=False`` because the write-behind writer
@@ -51,7 +55,6 @@ CREATE TABLE IF NOT EXISTS witness (
     fingerprint TEXT    NOT NULL,
     fault_key   TEXT    NOT NULL,
     nodes       TEXT    NOT NULL,
-    checksum    INTEGER,
     PRIMARY KEY (fingerprint, fault_key)
 );
 CREATE INDEX IF NOT EXISTS witness_by_fingerprint
@@ -66,9 +69,6 @@ class StoreRow:
     fingerprint: str
     key: FaultKey
     nodes: tuple[Node, ...]
-    #: structural checksum recorded when the row was originally stored;
-    #: informational only — loaded rows are always fully re-validated.
-    checksum: int | None
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class WitnessStore:
     """Durable ``(fingerprint, canonical fault key) -> pipeline`` rows.
 
     >>> store = WitnessStore(":memory:")
-    >>> store.put("net", ("'p1'",), ("i0", "p0", "o0"), checksum=7)
+    >>> store.put("net", ("'p1'",), ("i0", "p0", "o0"))
     True
     >>> store.get("net", ("'p1'",)).nodes
     ('i0', 'p0', 'o0')
@@ -158,7 +158,7 @@ class WitnessStore:
             with self._lock:
                 self._ensure_open()
                 cur = self._conn.execute(
-                    "SELECT nodes, checksum FROM witness"
+                    "SELECT nodes FROM witness"
                     " WHERE fingerprint = ? AND fault_key = ?",
                     (fingerprint, encoded),
                 )
@@ -176,7 +176,7 @@ class WitnessStore:
                     self._delete_locked(fingerprint, encoded)
                     return None
                 self._persist_hits += 1
-                return StoreRow(fingerprint, key, nodes, found[1])
+                return StoreRow(fingerprint, key, nodes)
         finally:
             if torn:
                 self._report_torn(fingerprint, encoded)
@@ -191,7 +191,7 @@ class WitnessStore:
         with self._lock:
             self._ensure_open()
             sql = (
-                "SELECT fault_key, nodes, checksum FROM witness"
+                "SELECT fault_key, nodes FROM witness"
                 " WHERE fingerprint = ? ORDER BY rowid DESC"
             )
             params: tuple = (fingerprint,)
@@ -200,7 +200,7 @@ class WitnessStore:
                 params = (fingerprint, limit)
             raw = self._conn.execute(sql, params).fetchall()
             rows: list[StoreRow] = []
-            for key_text, nodes_text, checksum in raw:
+            for key_text, nodes_text in raw:
                 try:
                     key = decode_fault_key(key_text)
                     nodes = decode_nodes(nodes_text)
@@ -210,7 +210,7 @@ class WitnessStore:
                     torn_keys.append(key_text)
                     self._delete_locked(fingerprint, key_text)
                     continue
-                rows.append(StoreRow(fingerprint, key, nodes, checksum))
+                rows.append(StoreRow(fingerprint, key, nodes))
         for key_text in torn_keys:
             self._report_torn(fingerprint, key_text)
         return rows
@@ -236,33 +236,23 @@ class WitnessStore:
     # writes
     # ------------------------------------------------------------------
     def put(
-        self,
-        fingerprint: str,
-        key: FaultKey,
-        nodes: Sequence[Node],
-        checksum: int | None = None,
+        self, fingerprint: str, key: FaultKey, nodes: Sequence[Node]
     ) -> bool:
         """Insert or refresh one row; returns ``False`` (and counts an
         ``encode_skip``) when the node labels are not serializable."""
-        return self.put_many([(fingerprint, key, tuple(nodes), checksum)]) == 1
+        return self.put_many([(fingerprint, key, tuple(nodes))]) == 1
 
     def put_many(
-        self,
-        rows: Iterable[tuple[str, FaultKey, tuple[Node, ...], int | None]],
+        self, rows: Iterable[tuple[str, FaultKey, tuple[Node, ...]]]
     ) -> int:
         """Write a batch of rows in one transaction; returns the number
         actually persisted (unserializable rows are skipped and counted)."""
-        encoded: list[tuple[str, str, str, int | None]] = []
+        encoded: list[tuple[str, str, str]] = []
         skipped = 0
-        for fingerprint, key, nodes, checksum in rows:
+        for fingerprint, key, nodes in rows:
             try:
                 encoded.append(
-                    (
-                        fingerprint,
-                        encode_fault_key(key),
-                        encode_nodes(nodes),
-                        checksum,
-                    )
+                    (fingerprint, encode_fault_key(key), encode_nodes(nodes))
                 )
             except ReproError:
                 skipped += 1
@@ -274,8 +264,7 @@ class WitnessStore:
             try:
                 self._conn.executemany(
                     "INSERT OR REPLACE INTO witness"
-                    " (fingerprint, fault_key, nodes, checksum)"
-                    " VALUES (?, ?, ?, ?)",
+                    " (fingerprint, fault_key, nodes) VALUES (?, ?, ?)",
                     encoded,
                 )
                 self._conn.commit()
@@ -291,7 +280,7 @@ class WitnessStore:
     # invalidation / compaction
     # ------------------------------------------------------------------
     def note_validation_failure(self, fingerprint: str, key: FaultKey) -> None:
-        """Record that a row loaded from disk failed live ``is_pipeline``
+        """Record that a persisted row failed live ``is_pipeline``
         validation, and delete it — a row that failed once can never
         become valid again for the same fingerprint."""
         with self._lock:

@@ -11,18 +11,15 @@ already speaks:
   full (or the writer is gone) the row is written synchronously instead
   of being dropped: the persistent tier is the fleet's shared memory and
   silently losing witnesses would defeat it.
-* **Cache-aside** (``lookup`` / ``lookup_validated``): a memory miss
-  falls through to the store.  A disk row is seeded back into the memory
-  LRU *without* a structural checksum, so the control plane's
-  checksum-skip fast path can never apply to it — every row that came
-  from disk pays a full ``is_pipeline`` validation before it is served
-  (never trust persisted bytes).
-* **Warm-start** (``warm_start``): on ``ControlPlane.register`` every
-  persisted row for the network's structural fingerprint is decoded,
-  re-validated against the *live* network with ``is_pipeline``, and only
-  then loaded into the memory LRU — with the live structural checksum,
-  because the validation just ran against that very structure.  Rows
-  that fail to decode or validate are counted
+* **Cache-aside** (``lookup_validated``): a memory miss falls through to
+  the store, and a disk row is seeded back into the memory LRU.  Like
+  every cached row it is a candidate only: the session checks it with
+  ``is_pipeline`` before adopting it (never trust persisted bytes).
+* **Warm-start** (``warm_start``): on ``ControlPlane.register`` the
+  newest persisted rows for the network's structural fingerprint, up to
+  the memory tier's capacity, are decoded, re-validated against the
+  *live* network with ``is_pipeline``, and only then loaded into the
+  memory LRU.  Rows that fail to decode or validate are counted
   (``validation_failures``) and deleted.
 
 Lock discipline: :class:`WriteBehindWriter` owns a ``threading.Lock``
@@ -45,18 +42,13 @@ from ..core.pipeline import is_pipeline
 from ..errors import ReproError
 from ..obs.spans import annotate
 from .cache import WitnessCache
-from .canonical import (
-    FaultKey,
-    decode_fault_set,
-    label_map,
-    structural_checksum,
-)
+from .canonical import FaultKey, decode_fault_set, label_map
 from .store import StoreStats, WitnessStore
 
 Node = Hashable
 
-#: one queued write: (fingerprint, fault key, canonical nodes, checksum)
-PendingWrite = tuple[str, FaultKey, tuple[Node, ...], "int | None"]
+#: one queued write: (fingerprint, fault key, canonical nodes)
+PendingWrite = tuple[str, FaultKey, tuple[Node, ...]]
 
 
 class WriteBehindWriter:
@@ -64,7 +56,7 @@ class WriteBehindWriter:
 
     >>> store = WitnessStore(":memory:")
     >>> writer = WriteBehindWriter(store)
-    >>> writer.submit(("net", ("'p1'",), ("i0", "p0", "o0"), None))
+    >>> writer.submit(("net", ("'p1'",), ("i0", "p0", "o0")))
     True
     >>> writer.flush()
     >>> store.row_count()
@@ -176,52 +168,30 @@ class TieredWitnessCache(WitnessCache):
     # ------------------------------------------------------------------
     # reads: cache-aside
     # ------------------------------------------------------------------
-    def lookup(self, fingerprint: str, key: FaultKey):
-        nodes = super().lookup(fingerprint, key)
+    def lookup_validated(self, fingerprint: str, key: FaultKey):
+        nodes = super().lookup_validated(fingerprint, key)
         if nodes is not None or self.persistent is None:
             return nodes
         row = self.persistent.get(fingerprint, key)
         if row is None:
-            return None
-        WitnessCache.store(self, fingerprint, key, row.nodes, checksum=None)
-        return row.nodes
-
-    def lookup_validated(
-        self, fingerprint: str, key: FaultKey, checksum: int | None
-    ):
-        found = super().lookup_validated(fingerprint, key, checksum)
-        if found is not None or self.persistent is None:
-            return found
-        row = self.persistent.get(fingerprint, key)
-        if row is None:
             annotate(tier="disk", result="miss")
             return None
-        # seed the memory tier checksum-less: a disk row must always pay
-        # full is_pipeline validation before being served, so the
-        # checksum-skip fast path never applies until it is re-stored
-        # after a live validation
-        WitnessCache.store(self, fingerprint, key, row.nodes, checksum=None)
-        annotate(tier="disk", result="hit", checksum_ok=False)
-        return row.nodes, False
+        WitnessCache.store(self, fingerprint, key, row.nodes)
+        annotate(tier="disk", result="hit")
+        return row.nodes
 
     # ------------------------------------------------------------------
     # writes: write-behind
     # ------------------------------------------------------------------
-    def store(
-        self,
-        fingerprint: str,
-        key: FaultKey,
-        nodes,
-        checksum: int | None = None,
-    ) -> None:
-        super().store(fingerprint, key, nodes, checksum)
+    def store(self, fingerprint: str, key: FaultKey, nodes) -> None:
+        super().store(fingerprint, key, nodes)
         if self.persistent is None:
             return
-        row: PendingWrite = (fingerprint, key, tuple(nodes), checksum)
+        row: PendingWrite = (fingerprint, key, tuple(nodes))
         if self._writer is not None and self._writer.submit(row):
             return
         if not self.persistent.closed:
-            self.persistent.put(fingerprint, key, row[2], checksum)
+            self.persistent.put(*row)
 
     def invalidate(self, fingerprint: str, key: FaultKey) -> None:
         super().invalidate(fingerprint, key)
@@ -232,24 +202,25 @@ class TieredWitnessCache(WitnessCache):
     # warm-start
     # ------------------------------------------------------------------
     def warm_start(self, network, fingerprint: str, *, limit=None) -> int:
-        """Load every persisted row for *fingerprint* that survives live
-        ``is_pipeline`` validation into the memory LRU; returns the
-        number loaded.  Invalid/undecodable rows are counted and
-        deleted, never served."""
+        """Load the newest persisted rows for *fingerprint* that survive
+        live ``is_pipeline`` validation into the memory LRU; returns the
+        number loaded.  At most *limit* rows are read (default: the
+        memory tier's capacity, since older rows would be evicted as
+        they load).  Invalid/undecodable rows are counted and deleted,
+        never served."""
         if self.persistent is None:
             return 0
         labels = label_map(network)
-        live = structural_checksum(network)
         loaded = 0
-        rows = self.persistent.iter_fingerprint(fingerprint, limit)
+        rows = self.persistent.iter_fingerprint(
+            fingerprint, self.capacity if limit is None else limit
+        )
         for row in reversed(rows):  # oldest first, so newest end up MRU
             faults = decode_fault_set(row.key, labels)
             if faults is None or not is_pipeline(network, row.nodes, faults):
                 self.persistent.note_validation_failure(fingerprint, row.key)
                 continue
-            # validated against the live structure this very moment, so
-            # the live checksum is the honest one to record
-            WitnessCache.store(self, fingerprint, row.key, row.nodes, live)
+            WitnessCache.store(self, fingerprint, row.key, row.nodes)
             loaded += 1
         if loaded:
             self.persistent.note_warm_loaded(loaded)

@@ -110,8 +110,8 @@ class TestValidationFailureDump:
             plane.register("edge-a", n=6, k=2)
             m = plane.managed("edge-a")
             key, _ = m.canon.canonical({"p1"})
-            # a checksum-less garbage row: forces live re-validation,
-            # which must fail and raise the anomaly
+            # a garbage row too short to be a pipeline: the session's
+            # validation must reject it and raise the anomaly
             plane.cache.store(m.fingerprint, key, ("i0", "o0"))
             plane.submit_fault("edge-a", "p1").result(timeout=60)
             anomalies = plane.recorder.anomalies()

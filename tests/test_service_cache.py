@@ -1,10 +1,15 @@
 """Witness cache and canonicalization: LRU accounting, structural
-(replica) sharing, and automorphism-aware symmetric sharing."""
+(replica) sharing, automorphism-aware symmetric sharing, and the one
+validation every cached row gets before it is served."""
 
 import pytest
 
+import repro.core.pipeline
+import repro.core.session
+import repro.service.control
 from repro.core.constructions import build
 from repro.core.pipeline import is_pipeline
+from repro.errors import ReconfigurationError
 from repro.service import (
     Canonicalizer,
     ControlPlane,
@@ -14,33 +19,33 @@ from repro.service import (
     network_fingerprint,
     plain_fault_key,
 )
-from repro.service.canonical import structural_checksum
 
 
 class TestWitnessCacheUnit:
     def test_lookup_miss_then_hit(self):
         cache = WitnessCache(capacity=4)
-        assert cache.lookup("fp", ("'p1'",)) is None
+        assert cache.lookup_validated("fp", ("'p1'",)) is None
         cache.store("fp", ("'p1'",), ("i0", "p0", "o0"))
-        assert cache.lookup("fp", ("'p1'",)) == ("i0", "p0", "o0")
+        assert cache.lookup_validated("fp", ("'p1'",)) == ("i0", "p0", "o0")
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 1 and stats.stores == 1
 
     def test_rows_are_fingerprint_scoped(self):
         cache = WitnessCache(capacity=4)
         cache.store("fp-a", ("'p1'",), ("a",))
-        assert cache.lookup("fp-b", ("'p1'",)) is None
+        assert cache.lookup_validated("fp-b", ("'p1'",)) is None
 
     def test_lru_eviction(self):
         cache = WitnessCache(capacity=2)
         cache.store("fp", ("'a'",), ("1",))
         cache.store("fp", ("'b'",), ("2",))
-        assert cache.lookup("fp", ("'a'",)) is not None  # refresh 'a'
-        cache.store("fp", ("'c'",), ("3",))              # evicts 'b'
+        # refresh 'a', so storing 'c' evicts 'b'
+        assert cache.lookup_validated("fp", ("'a'",)) is not None
+        cache.store("fp", ("'c'",), ("3",))
         assert cache.stats().evictions == 1
-        assert cache.lookup("fp", ("'b'",)) is None
-        assert cache.lookup("fp", ("'a'",)) is not None
-        assert cache.lookup("fp", ("'c'",)) is not None
+        assert cache.lookup_validated("fp", ("'b'",)) is None
+        assert cache.lookup_validated("fp", ("'a'",)) is not None
+        assert cache.lookup_validated("fp", ("'c'",)) is not None
         assert len(cache) == 2
 
     def test_capacity_validation(self):
@@ -51,62 +56,104 @@ class TestWitnessCacheUnit:
         cache = WitnessCache()
         assert cache.stats().hit_rate == 0.0
         cache.store("fp", (), ("x",))
-        cache.lookup("fp", ())
+        cache.lookup_validated("fp", ())
         assert cache.stats().hit_rate == 1.0
 
 
-class TestChecksumPrecheck:
-    def test_lookup_validated_match_counts_skip(self):
-        cache = WitnessCache(capacity=4)
-        cache.store("fp", ("'p1'",), ("i0", "p0", "o0"), checksum=123)
-        nodes, ok = cache.lookup_validated("fp", ("'p1'",), 123)
-        assert ok and nodes == ("i0", "p0", "o0")
-        assert cache.stats().checksum_skips == 1
+def count_validations(monkeypatch) -> list:
+    """Count ``is_pipeline`` calls made by the session and, where it still
+    validates, the control plane; returns the list calls append to."""
+    calls = []
 
-    def test_lookup_validated_mismatch_requires_validation(self):
-        cache = WitnessCache(capacity=4)
-        cache.store("fp", ("'p1'",), ("i0", "p0", "o0"), checksum=123)
-        nodes, ok = cache.lookup_validated("fp", ("'p1'",), 456)
-        assert not ok and nodes == ("i0", "p0", "o0")
-        assert cache.stats().checksum_skips == 0
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return repro.core.pipeline.is_pipeline(*args, **kwargs)
 
-    def test_checksum_less_row_never_skips(self):
-        cache = WitnessCache(capacity=4)
-        cache.store("fp", ("'p1'",), ("i0", "p0", "o0"))  # legacy row
-        _, ok = cache.lookup_validated("fp", ("'p1'",), 123)
-        assert not ok
-        _, ok = cache.lookup_validated("fp", ("'p1'",), None)
-        assert not ok
-        assert cache.stats().checksum_skips == 0
+    monkeypatch.setattr(repro.core.session, "is_pipeline", counting)
+    monkeypatch.setattr(
+        repro.service.control, "is_pipeline", counting, raising=False
+    )
+    return calls
 
-    def test_lookup_validated_miss(self):
-        cache = WitnessCache(capacity=4)
-        assert cache.lookup_validated("fp", ("'p1'",), 1) is None
-        assert cache.stats().misses == 1
 
-    def test_structural_checksum_tracks_mutation(self):
-        net = build(6, 2)
-        before = structural_checksum(net)
-        assert before == structural_checksum(build(6, 2))  # deterministic
-        procs = sorted(net.processors, key=repr)
-        u, v = procs[0], procs[-1]
-        changed = net.copy()
-        if changed.graph.has_edge(u, v):
-            changed.graph.remove_edge(u, v)
-        else:
-            changed.graph.add_edge(u, v)
-        assert structural_checksum(changed) != before
+class TestOneValidation:
+    """Each cached row the plane serves is checked exactly once, by the
+    session that adopts it."""
 
-    def test_plane_skips_revalidation_on_hits(self):
+    def test_plane_hits_validate_once(self, monkeypatch):
+        calls = count_validations(monkeypatch)
         with ControlPlane(ControlPlaneConfig(workers=2)) as plane:
             plane.register("solo", n=9, k=2)
             plane.submit_fault("solo", "p3").result(timeout=30)
-            plane.submit_repair("solo", "p3").result(timeout=30)
-            plane.submit_fault("solo", "p3").result(timeout=30)
-            stats = plane.snapshot().cache
-            assert stats.checksum_skips >= 2  # repair + refault both skipped
-            assert stats.invalid == 0
-            assert plane.snapshot().as_dict()["cache"]["checksum_skips"] >= 2
+            for submit in (plane.submit_repair, plane.submit_fault):
+                del calls[:]
+                record = submit("solo", "p3").result(timeout=30)
+                assert record.cache_hit
+                assert len(calls) == 1
+            assert plane.snapshot().cache.invalid == 0
+
+    def test_disk_hit_validates_once(self, monkeypatch, tmp_path):
+        """Plane B reads the row plane A solved from the shared store: a
+        cache-aside hit, validated once."""
+        calls = count_validations(monkeypatch)
+        config = ControlPlaneConfig(
+            workers=1, store_path=str(tmp_path / "w.db")
+        )
+        with ControlPlane(config) as a, ControlPlane(config) as b:
+            a.register("a", n=9, k=2)
+            b.register("b", n=9, k=2)
+            a.submit_fault("a", "p1").result(timeout=30)
+            a.cache.flush()
+            del calls[:]
+            record = b.submit_fault("b", "p1").result(timeout=30)
+            assert record.cache_hit
+            assert b.cache.store_stats().persist_hits == 1
+            assert len(calls) == 1
+
+
+class TestUntrustedRows:
+    """A cached row the session rejects costs a solve, never the event."""
+
+    def test_foreign_labels_are_solved_as_a_miss(self):
+        """Labels that are not nodes have no preimage under the symmetry
+        that maps the row back; the session rejects them (a too-short
+        row is covered by ``test_poisoned_cache_row_dumps``)."""
+        net = demo_ring_network(8)
+        with ControlPlane(ControlPlaneConfig(workers=1)) as plane:
+            plane.register("ring", net)
+            m = plane.managed("ring")
+            key, sigma = m.canon.canonical({"c1"})
+            assert sigma is not None  # mapping back needs the inverse
+            plane.cache.store(
+                m.fingerprint, key, ("bogus-a", "bogus-b", "bogus-c")
+            )
+            record = plane.submit_fault("ring", "c1").result(timeout=30)
+            assert not record.cache_hit and record.solver == "full"
+            assert is_pipeline(net, m.session.pipeline.nodes, {"c1"})
+            snap = plane.snapshot()
+            assert snap.totals["errors"] == 0
+            assert snap.totals["cache_misses"] == 1
+            assert snap.cache.invalid == 1
+            # the fresh pipeline replaced the bad row under the same key
+            fresh = plane.cache.lookup_validated(m.fingerprint, key)
+            assert is_pipeline(
+                net, Canonicalizer.map_back(fresh, sigma), {"c1"}
+            )
+
+    def test_rejected_row_is_dropped_when_the_solve_fails(self):
+        """{p0, p1, p3} is beyond what G(6,2) tolerates: the row is
+        rejected, the fallback solve raises, and the row still goes."""
+        with ControlPlane(ControlPlaneConfig(workers=1)) as plane:
+            plane.register("frail", n=6, k=2)
+            m = plane.managed("frail")
+            plane.submit_fault("frail", "p0").result(timeout=30)
+            plane.submit_fault("frail", "p1").result(timeout=30)
+            key, _ = m.canon.canonical({"p0", "p1", "p3"})
+            plane.cache.store(m.fingerprint, key, ("i0", "p3", "o0"))
+            with pytest.raises(ReconfigurationError):
+                plane.submit_fault("frail", "p3").result(timeout=30)
+            assert plane.snapshot().cache.invalid == 1
+            assert plane.cache.lookup_validated(m.fingerprint, key) is None
 
 
 class TestFingerprint:

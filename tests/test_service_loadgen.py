@@ -21,7 +21,7 @@ ROW_KEYS = {
     "phase", "events_submitted", "events_applied", "queries", "wall_time_s",
     "shed", "shed_rate", "errors", "degraded_served", "degraded_rate",
     "stale_served", "query_latency_s", "solve_latency_s", "cache_hits",
-    "cache_misses", "cache_hit_rate", "checksum_skips", "store_rows",
+    "cache_misses", "cache_hit_rate", "store_rows",
     "warm_loaded", "persist_hits", "write_behind_depth",
     "validation_failures",
 }

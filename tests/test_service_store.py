@@ -20,11 +20,10 @@ def make_store(tmp_path, **kw):
 class TestRoundTrip:
     def test_put_get_contains(self, tmp_path):
         with make_store(tmp_path) as store:
-            assert store.put("fp", KEY1, NODES, checksum=7)
+            assert store.put("fp", KEY1, NODES)
             row = store.get("fp", KEY1)
             assert row.nodes == NODES
             assert row.key == KEY1
-            assert row.checksum == 7
             assert ("fp", KEY1) in store
             assert ("fp", KEY2) not in store
             assert store.get("fp", KEY2) is None
@@ -32,12 +31,11 @@ class TestRoundTrip:
 
     def test_replace_refreshes_row(self, tmp_path):
         with make_store(tmp_path) as store:
-            store.put("fp", KEY1, NODES, checksum=1)
-            store.put("fp", KEY1, ("i0", "p1", "o0"), checksum=2)
+            store.put("fp", KEY1, NODES)
+            store.put("fp", KEY1, ("i0", "p1", "o0"))
             assert store.row_count() == 1
             row = store.get("fp", KEY1)
             assert row.nodes == ("i0", "p1", "o0")
-            assert row.checksum == 2
 
     def test_rows_survive_reopen(self, tmp_path):
         path = str(tmp_path / "w.db")
@@ -110,12 +108,55 @@ class TestTornRows:
             assert store.row_count() == 1
             assert store.stats().validation_failures == 1
 
+    def test_unhashable_label_is_torn(self, tmp_path):
+        """A row that parses to a tuple holding a list cannot name nodes:
+        it is torn, not handed up to fail deeper in the plane."""
+        with make_store(tmp_path) as store:
+            store.put("fp", KEY1, NODES)
+            conn = sqlite3.connect(store.path)
+            conn.execute("UPDATE witness SET nodes = ?", ("(['i0'], 'o0')",))
+            conn.commit()
+            conn.close()
+            assert store.get("fp", KEY1) is None
+            assert store.stats().torn_rows == 1
+
     def test_torn_fault_key_on_iter(self, tmp_path):
         with make_store(tmp_path) as store:
             store.put("fp", KEY1, NODES)
             self.corrupt(store, column="fault_key")
             assert store.iter_fingerprint("fp") == []
             assert store.stats().validation_failures == 1
+
+
+class TestOldSchema:
+    def test_file_with_checksum_column_opens_serves_and_writes(self, tmp_path):
+        """A store file whose table still has the nullable ``checksum``
+        column opens, serves its row and accepts a write."""
+        path = str(tmp_path / "old.db")
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            """
+            CREATE TABLE witness (
+                fingerprint TEXT    NOT NULL,
+                fault_key   TEXT    NOT NULL,
+                nodes       TEXT    NOT NULL,
+                checksum    INTEGER,
+                PRIMARY KEY (fingerprint, fault_key)
+            );
+            """
+        )
+        conn.execute(
+            "INSERT INTO witness VALUES (?, ?, ?, ?)",
+            ("fp", '["\'p1\'"]', repr(NODES), 1234),
+        )
+        conn.commit()
+        conn.close()
+        with WitnessStore(path) as store:
+            assert store.get("fp", KEY1).nodes == NODES
+            assert store.put("fp", KEY2, ("i0", "p3", "o0"))
+            rows = store.iter_fingerprint("fp")
+            assert [r.key for r in rows] == [KEY2, KEY1]
+            assert store.stats().write_errors == 0
 
 
 class TestInvalidationAndCompaction:

@@ -4,11 +4,7 @@ background writer's lifecycle."""
 import pytest
 
 from repro.core.constructions import build
-from repro.service.canonical import (
-    Canonicalizer,
-    network_fingerprint,
-    structural_checksum,
-)
+from repro.service.canonical import Canonicalizer, network_fingerprint
 from repro.service.store import WitnessStore
 from repro.service.tiering import TieredWitnessCache, WriteBehindWriter
 
@@ -26,7 +22,7 @@ class TestWriteBehindWriter:
         writer = WriteBehindWriter(store)
         try:
             for i in range(10):
-                assert writer.submit(("fp", (f"'p{i}'",), NODES, None))
+                assert writer.submit(("fp", (f"'p{i}'",), NODES))
             writer.flush()
             assert writer.depth() == 0
             assert store.row_count() == 10
@@ -37,11 +33,11 @@ class TestWriteBehindWriter:
     def test_close_drains_then_is_idempotent(self, tmp_path):
         store = db(tmp_path)
         writer = WriteBehindWriter(store)
-        writer.submit(("fp", KEY1, NODES, None))
+        writer.submit(("fp", KEY1, NODES))
         writer.close()
         writer.close()
         assert store.row_count() == 1
-        assert not writer.submit(("fp", ("'p9'",), NODES, None))
+        assert not writer.submit(("fp", ("'p9'",), NODES))
         store.close()
 
     def test_bad_parameters(self, tmp_path):
@@ -58,7 +54,7 @@ class TestTieredCache:
     def test_store_lands_on_disk_via_writer(self, tmp_path):
         cache = TieredWitnessCache(8, db(tmp_path))
         try:
-            cache.store("fp", KEY1, NODES, checksum=7)
+            cache.store("fp", KEY1, NODES)
             cache.flush()
             assert cache.persistent.get("fp", KEY1).nodes == NODES
         finally:
@@ -72,36 +68,33 @@ class TestTieredCache:
         finally:
             cache.close()
 
-    def test_cache_aside_read_seeds_memory_checksum_less(self, tmp_path):
-        """A disk row is served on a memory miss but seeded WITHOUT a
-        checksum: the checksum-skip fast path must never apply to bytes
-        that came from disk."""
+    def test_cache_aside_read_seeds_memory(self, tmp_path):
+        """A disk row is served on a memory miss and seeded into memory,
+        so the next read never touches the store."""
         store = db(tmp_path)
-        store.put("fp", KEY1, NODES, checksum=1234)
+        store.put("fp", KEY1, NODES)
         cache = TieredWitnessCache(8, store)
         try:
-            found = cache.lookup_validated("fp", KEY1, 1234)
-            assert found == (NODES, False)  # never validated=True from disk
-            # now resident in memory: a second read with checksum=None
-            # still answers, and still demands validation
-            assert cache.lookup_validated("fp", KEY1, None) == (NODES, False)
+            assert cache.lookup_validated("fp", KEY1) == NODES
+            assert cache.lookup_validated("fp", KEY1) == NODES
             assert cache.stats().size == 1
+            assert store.stats().persist_hits == 1
         finally:
             cache.close()
 
     def test_lookup_miss_both_tiers(self, tmp_path):
         cache = TieredWitnessCache(8, db(tmp_path))
         try:
-            assert cache.lookup("fp", KEY1) is None
-            assert cache.lookup_validated("fp", KEY1, None) is None
-            assert cache.persistent.stats().persist_misses >= 1
+            assert cache.lookup_validated("fp", KEY1) is None
+            assert cache.stats().misses == 1
+            assert cache.persistent.stats().persist_misses == 1
         finally:
             cache.close()
 
     def test_no_persistent_tier_degrades_to_memory(self):
         cache = TieredWitnessCache(8, None)
         cache.store("fp", KEY1, NODES)
-        assert cache.lookup("fp", KEY1) == NODES
+        assert cache.lookup_validated("fp", KEY1) == NODES
         cache.flush()
         cache.close()  # all no-ops, no error
 
@@ -127,7 +120,7 @@ class TestTieredCache:
 def WitnessCache_lookup_is_empty(cache):
     from repro.service.cache import WitnessCache
 
-    return WitnessCache.lookup(cache, "fp", KEY1) is None
+    return WitnessCache.lookup_validated(cache, "fp", KEY1) is None
 
 
 class TestWarmStart:
@@ -145,24 +138,20 @@ class TestWarmStart:
             rows.append((key, Canonicalizer.map_forward(pipeline.nodes, sigma)))
         return fingerprint, rows
 
-    def test_valid_rows_load_with_live_checksum(self, tmp_path):
+    def test_valid_rows_load(self, tmp_path):
         network = build(6, 2)
         fingerprint, rows = self.warm_rows(network)
         store = db(tmp_path)
         for key, nodes in rows:
-            store.put(fingerprint, key, nodes, checksum=None)
+            store.put(fingerprint, key, nodes)
         cache = TieredWitnessCache(8, store)
         try:
             assert cache.warm_start(network, fingerprint) == 2
-            live = structural_checksum(network)
             for key, nodes in rows:
-                # loaded rows carry the live checksum: the skip fast path
-                # legitimately applies, because is_pipeline just ran
-                assert cache.lookup_validated(fingerprint, key, live) == (
-                    nodes,
-                    True,
-                )
-            assert cache.persistent.stats().warm_loaded == 2
+                assert cache.lookup_validated(fingerprint, key) == nodes
+            stats = cache.persistent.stats()
+            assert stats.warm_loaded == 2
+            assert stats.persist_hits == 0  # served from memory
         finally:
             cache.close()
 
@@ -197,6 +186,30 @@ class TestWarmStart:
         cache = TieredWitnessCache(8, store)
         try:
             assert cache.warm_start(network, fingerprint, limit=1) == 1
+        finally:
+            cache.close()
+
+    def test_warm_start_reads_at_most_capacity(self, tmp_path):
+        """Rows beyond the memory tier's capacity would be evicted as they
+        load, so they are not read, let alone validated."""
+        network = build(6, 2)
+        fingerprint, rows = self.warm_rows(network)
+        store = db(tmp_path)
+        for key, nodes in rows:
+            store.put(fingerprint, key, nodes)
+        store.put(fingerprint, ("'zz9'",), rows[0][1])  # newest, invalid
+        cache = TieredWitnessCache(2, store)
+        try:
+            # the two newest rows are read: the invalid one is counted and
+            # deleted, the other loaded; the oldest stays on disk, unread
+            assert cache.warm_start(network, fingerprint) == 1
+            stats = cache.persistent.stats()
+            assert stats.validation_failures == 1
+            assert stats.rows == 2
+            (old_key, _), (new_key, new_nodes) = rows
+            memory = super(TieredWitnessCache, cache)
+            assert memory.lookup_validated(fingerprint, new_key) == new_nodes
+            assert memory.lookup_validated(fingerprint, old_key) is None
         finally:
             cache.close()
 

@@ -1,8 +1,12 @@
 """Session repair and candidate-pipeline adoption (the control plane's
 entry points into :class:`ReconfigurationSession`)."""
 
+import tracemalloc
+
 import pytest
 
+import repro.core.pipeline
+import repro.core.session
 from repro.core.constructions import build
 from repro.core.hamilton import SolvePolicy
 from repro.core.model import PipelineNetwork
@@ -48,9 +52,10 @@ class TestRepair:
 
     def test_repair_history_feeds_churn_metrics(self):
         s = ReconfigurationSession(build(9, 2))
-        s.fail("p2")
-        s.repair("p2")
-        assert len(s.history) == 2
+        recs = [s.fail("p2"), s.repair("p2")]
+        assert [r.fault_index for r in recs] == [0, 1]
+        assert s.total_moved() == sum(r.moved for r in recs)
+        assert s.mean_churn() == sum(r.churn for r in recs) / 2
         assert 0.0 <= s.mean_churn() <= 1.0
 
     def test_multi_fault_repair_interleaving(self):
@@ -99,6 +104,26 @@ class TestCandidateAdoption:
         assert s.pipeline is not wrong
         assert is_pipeline(s.network, s.pipeline.nodes, {"p3"})
 
+    def test_node_sequence_candidate_is_adopted(self):
+        probe = ReconfigurationSession(build(9, 2))
+        probe.fail("p3")
+
+        s = ReconfigurationSession(build(9, 2))
+        rec = s.fail("p3", pipeline=probe.pipeline.nodes[::-1])
+        assert rec.adopted
+        assert s.pipeline.nodes == probe.pipeline.nodes  # input first
+
+    @pytest.mark.parametrize(
+        "row",
+        [("i0", "o0"), ("zz", "p0", "zz")],
+        ids=["too-short", "foreign-labels"],
+    )
+    def test_malformed_sequence_is_rejected_not_raised(self, row):
+        s = ReconfigurationSession(build(9, 2))
+        rec = s.fail("p3", pipeline=row)
+        assert not rec.adopted
+        assert is_pipeline(s.network, s.pipeline.nodes, {"p3"})
+
 
 class TestServes:
     def test_needs_every_healthy_processor_and_no_fault(self):
@@ -127,3 +152,56 @@ class TestFailedReembed:
         except ReproError:
             return
         assert is_pipeline(s.network, s.pipeline.nodes, s.faults)
+
+
+class TestOneValidation:
+    def test_single_faults_validate_once(self, monkeypatch):
+        """A local repair or seeded solve is checked once where it is
+        produced, not again by :meth:`fail`."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return repro.core.pipeline.is_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(repro.core.session, "is_pipeline", counting)
+        net = build(9, 2)
+        stages = ReconfigurationSession(net).pipeline.stages
+        per_fault = []
+        for stage in stages:
+            s = ReconfigurationSession(net)
+            del calls[:]
+            s.fail(stage)
+            per_fault.append(len(calls))
+        assert per_fault == [1] * len(stages)
+
+
+class TestRunningTotals:
+    def test_churn_events_retain_no_memory(self):
+        """Churn accounting is O(1): 2,000 fail/repair events keep no
+        per-event state, and the totals equal the sums over the records."""
+        s = ReconfigurationSession(build(9, 2))
+        nodes = sorted(s.network.processors, key=repr)
+        # the sums over the returned records, in event order
+        sums = {"moved": 0, "churn": 0.0, "reembeds": 0}
+
+        def churn(events):
+            for i in range(events // 2):
+                node = nodes[i % len(nodes)]
+                for rec in (s.fail(node), s.repair(node)):
+                    sums["moved"] += rec.moved
+                    if rec.was_on_pipeline:
+                        sums["churn"] += rec.churn
+                        sums["reembeds"] += 1
+
+        churn(200)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            churn(2000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 16 * 1024
+        assert s.total_moved() == sums["moved"]
+        assert s.mean_churn() == sums["churn"] / sums["reembeds"]
