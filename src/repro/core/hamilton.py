@@ -8,6 +8,9 @@ terminal.  This module provides:
 
 * :class:`SpanningPathInstance` — a bitmask encoding of that problem built
   from a :class:`~repro.core.model.SurvivorView`;
+* :class:`IncrementalInstanceBuilder` — instances for successive fault
+  sets of one network in a shared, network-global bit space, patched by
+  the delta between fault sets (the warm sweep and the online session);
 * :func:`solve_backtracking` — exact DFS with connectivity / dead-end /
   forced-endpoint pruning and Warnsdorff ordering (complete: a ``NONE``
   answer is a proof, subject to the node budget);
@@ -147,7 +150,7 @@ class SpanningPathInstance:
         self.procs: list[Node] = sorted(survivor.processors, key=repr)
         self.index = {p: i for i, p in enumerate(self.procs)}
         self.h = len(self.procs)
-        g = survivor.graph
+        g = _neighbor_graph(survivor)
         self.adj = [0] * self.h
         for p in self.procs:
             i = self.index[p]
@@ -181,13 +184,13 @@ class SpanningPathInstance:
     ) -> "SpanningPathInstance":
         """Assemble an instance from precomputed bitmask parts.
 
-        Used by the warm-sweep builder (:mod:`repro.core.verify.warm`),
-        which patches one network-wide set of adjacency masks
-        incrementally instead of re-deriving them per fault set.  The
-        bit space may be *sparse*: ``full`` is the mask of healthy
-        processor bits within the network-global index space, and
-        ``procs``/``adj`` cover every processor (rows outside ``full``
-        are never read by the solvers).  Requires at least two healthy
+        Used by :class:`IncrementalInstanceBuilder`, which patches one
+        network-wide set of adjacency masks incrementally instead of
+        re-deriving them per fault set.  The bit space may be *sparse*:
+        ``full`` is the mask of healthy processor bits within the
+        network-global index space, and ``procs``/``adj`` cover every
+        processor (rows outside ``full`` are never read by the
+        solvers).  Requires at least two healthy
         processors — the caller handles smaller survivors through the
         plain constructor, whose trivial-case analysis assumes dense
         indexing.
@@ -219,9 +222,10 @@ class SpanningPathInstance:
         if self.h == 0:
             # only a direct terminal-terminal edge could form a pipeline;
             # the model forbids terminal interiors so check edges directly
+            g, outs = _neighbor_graph(surv), surv.outputs
             for t in surv.inputs:
-                for u in surv.graph.neighbors(t):
-                    if u in surv.outputs:
+                for u in g.neighbors(t):
+                    if u in outs:
                         return SolveReport(Status.FOUND, (t, u), method="trivial")
             return SolveReport(Status.NONE, method="trivial")
         if self.start_mask == 0 or self.end_mask == 0:
@@ -238,12 +242,14 @@ class SpanningPathInstance:
 
     # ------------------------------------------------------------------
     def _attach_terminals(self, proc_path: Sequence[Node]) -> list[Node]:
-        """Wrap a processor path with one healthy terminal at each end."""
+        """Wrap a processor path with one healthy terminal at each end
+        (the first in the graph's neighbor order)."""
         surv = self.survivor
-        g = surv.graph
+        g = _neighbor_graph(surv)
         head, tail = proc_path[0], proc_path[-1]
-        t_in = next(t for t in g.neighbors(head) if t in surv.inputs)
-        t_out = next(t for t in g.neighbors(tail) if t in surv.outputs)
+        ins, outs = surv.inputs, surv.outputs
+        t_in = next(t for t in g.neighbors(head) if t in ins)
+        t_out = next(t for t in g.neighbors(tail) if t in outs)
         return [t_in, *proc_path, t_out]
 
     def report_from_bits(self, bit_path: Sequence[int], method: str, expanded: int) -> SolveReport:
@@ -251,6 +257,131 @@ class SpanningPathInstance:
         return SolveReport(
             Status.FOUND, tuple(self._attach_terminals(proc_path)), method, expanded
         )
+
+
+def _neighbor_graph(survivor: SurvivorView):
+    """The graph whose neighbor lists an instance reads.
+
+    A :class:`SurvivorView` reads the full network graph: every neighbor
+    is then filtered through the healthy processor index or the healthy
+    terminal sets, which is exact and builds no subgraph view.  Any other
+    survivor (the edge-fault view of :mod:`repro.core.edge_faults`) reads
+    its own ``graph``, since it prunes edges a fault set cannot express.
+    """
+    if isinstance(survivor, SurvivorView):
+        return survivor.network.graph
+    return survivor.graph
+
+
+class IncrementalInstanceBuilder:
+    """Builds :class:`SpanningPathInstance` objects for successive fault
+    sets of one network by patching shared bitmask state.
+
+    Processors get *network-global* bit indices (the ``repr``-sorted
+    order every cold instance uses for its healthy survivors), so masks
+    stay comparable across fault sets and a witness path propagates as a
+    plain bit sequence.  Per fault set, only the adjacency rows touched
+    by the delta against the previous fault set are recomputed, and the
+    start/end attachment masks are refreshed from per-processor terminal
+    tables — no subgraph views, no re-sorting, no dict rebuilds.  The
+    network's structure is read once, at construction.
+
+    Survivors with fewer than two healthy processors fall back to the
+    plain constructor (whose trivial-case analysis assumes dense
+    indexing); :meth:`instance` flags which space the instance lives in.
+    """
+
+    def __init__(self, network: PipelineNetwork) -> None:
+        self.network = network
+        g = network.graph
+        self.procs: list[Node] = sorted(network.processors, key=repr)
+        self.index: dict[Node, int] = {p: i for i, p in enumerate(self.procs)}
+        nprocs = len(self.procs)
+        self.all_mask = (1 << nprocs) - 1 if nprocs else 0
+        inputs, outputs = network.inputs, network.outputs
+        self.base_adj: list[int] = [0] * nprocs
+        self.in_terms: list[tuple[Node, ...]] = [()] * nprocs
+        self.out_terms: list[tuple[Node, ...]] = [()] * nprocs
+        self.base_start = self.base_end = 0
+        #: terminal -> bitmask of attached processors
+        self.term_procs: dict[Node, int] = {}
+        for p, i in self.index.items():
+            m = 0
+            ins: list[Node] = []
+            outs: list[Node] = []
+            for q in g.neighbors(p):
+                j = self.index.get(q)
+                if j is not None:
+                    m |= 1 << j
+                elif q in inputs:
+                    ins.append(q)
+                elif q in outputs:
+                    outs.append(q)
+            self.base_adj[i] = m
+            self.in_terms[i] = tuple(ins)
+            self.out_terms[i] = tuple(outs)
+            if ins:
+                self.base_start |= 1 << i
+            if outs:
+                self.base_end |= 1 << i
+            for t in ins + outs:
+                self.term_procs[t] = self.term_procs.get(t, 0) | (1 << i)
+        # mutable per-sweep state: adjacency rows masked to current survivors
+        self._adj: list[int] = list(self.base_adj)
+        self._full = self.all_mask
+
+    def _patch(self, full: int) -> None:
+        """Re-mask the adjacency rows affected by the survivor delta."""
+        changed = self._full ^ full
+        if changed:
+            rows = changed
+            for b in iter_bits(changed):
+                rows |= self.base_adj[b]
+            base_adj = self.base_adj
+            adj = self._adj
+            for i in iter_bits(rows & full):
+                adj[i] = base_adj[i] & full
+            self._full = full
+
+    def instance(
+        self, fault_set: Iterable[Node]
+    ) -> tuple[SpanningPathInstance, bool]:
+        """The instance for *fault_set*, plus whether it lives in the
+        builder's global bit space (``False`` = dense fallback; witness
+        bits must not be propagated across the two spaces)."""
+        faults = frozenset(fault_set)
+        fmask = 0
+        faulty_terms: list[Node] = []
+        for v in faults:
+            i = self.index.get(v)
+            if i is not None:
+                fmask |= 1 << i
+            else:
+                faulty_terms.append(v)
+        full = self.all_mask & ~fmask
+        self._patch(full)
+        if full.bit_count() < 2:
+            return SpanningPathInstance(self.network.surviving(faults)), False
+        start = self.base_start & full
+        end = self.base_end & full
+        for t in faulty_terms:
+            affected = self.term_procs.get(t, 0)
+            for i in iter_bits(affected & start):
+                if not any(u not in faults for u in self.in_terms[i]):
+                    start &= ~(1 << i)
+            for i in iter_bits(affected & end):
+                if not any(u not in faults for u in self.out_terms[i]):
+                    end &= ~(1 << i)
+        inst = SpanningPathInstance.from_parts(
+            self.network.surviving(faults),
+            self.procs,
+            self.index,
+            list(self._adj),
+            start,
+            end,
+            full,
+        )
+        return inst, True
 
 
 # ----------------------------------------------------------------------
@@ -597,11 +728,12 @@ def solve_posa(
         nonlocal expanded
         path = [start]
         pos = {start: 0}
+        seen = 1 << start
         rot_left = rotations
         while rot_left > 0:
             expanded += 1
             tail = path[-1]
-            unvis = adj[tail] & ~_mask_of_path(pos)
+            unvis = adj[tail] & ~seen
             if unvis:
                 choices = list(iter_bits(unvis))
                 if order_bias is not None:
@@ -611,6 +743,7 @@ def solve_posa(
                     j = rng.choice(choices)
                 pos[j] = len(path)
                 path.append(j)
+                seen |= 1 << j
                 continue
             if len(path) == h and (1 << tail) & end_mask:
                 return path
@@ -628,12 +761,6 @@ def solve_posa(
                 pos[node] = off
             rot_left -= 1
         return None
-
-    def _mask_of_path(pos: dict[int, int]) -> int:
-        m = 0
-        for j in pos:
-            m |= 1 << j
-        return m
 
     bias = None
     if initial_order is not None:

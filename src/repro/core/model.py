@@ -263,14 +263,24 @@ class SurvivorView:
     Exposes the subgraph plus the surviving label sets.  Fault nodes that
     are not in the network are tolerated (removing a non-node is a no-op,
     matching the set-difference semantics of the paper's ``G \\ F``).
+    The networkx subgraph view is built on first read of :attr:`graph`;
+    the label sets and attachment queries never need it.
     """
 
-    __slots__ = ("network", "faults", "graph")
+    __slots__ = ("network", "faults", "_graph")
 
     def __init__(self, network: PipelineNetwork, faults: frozenset[Node]) -> None:
         self.network = network
         self.faults = faults
-        self.graph = network.graph.subgraph(set(network.graph.nodes) - faults)
+        self._graph: nx.Graph | None = None
+
+    @property
+    def graph(self) -> nx.Graph:
+        """``G \\ F`` as a read-only networkx subgraph view."""
+        if self._graph is None:
+            g = self.network.graph
+            self._graph = g.subgraph(set(g.nodes) - self.faults)
+        return self._graph
 
     @property
     def inputs(self) -> frozenset[Node]:
@@ -286,20 +296,18 @@ class SurvivorView:
 
     def input_attached(self) -> frozenset[Node]:
         """Healthy processors adjacent to a *healthy* input terminal."""
-        ins = self.inputs
-        return frozenset(
-            p
-            for p in self.processors
-            if any(t in ins for t in self.graph.neighbors(p))
-        )
+        return self._attached(self.inputs)
 
     def output_attached(self) -> frozenset[Node]:
         """Healthy processors adjacent to a *healthy* output terminal."""
-        outs = self.outputs
+        return self._attached(self.outputs)
+
+    def _attached(self, terms: frozenset[Node]) -> frozenset[Node]:
+        # *terms* holds healthy terminals only, so the full graph's
+        # neighbor lists answer exactly what the subgraph view would
+        g = self.network.graph
         return frozenset(
-            p
-            for p in self.processors
-            if any(t in outs for t in self.graph.neighbors(p))
+            p for p in self.processors if any(t in terms for t in g.neighbors(p))
         )
 
     def __repr__(self) -> str:

@@ -15,15 +15,25 @@ Churn metrics per fault event:
 * ``kept`` — processors whose local neighborhood is unchanged;
 * churn ratio — ``moved / healthy``.
 
-The session prefers minimally-disruptive embeddings by seeding the
-solver with the previous pipeline's order, then falls back to the
-construction's own reconfiguration algorithm.
+The session prefers minimally-disruptive embeddings.  Both :meth:`~
+ReconfigurationSession.fail` and :meth:`~ReconfigurationSession.repair`
+re-embed through one routine in the verifier's bit space: the current
+stages are adapted to the new survivor with
+:func:`~repro.core.repair.adapt_witness` (splice the dead node out, or the
+revived one in), then a Pósa solve seeded with the previous order runs on
+the same patched instance, and only then does the construction's own
+reconfiguration algorithm run.
 
-Every pipeline the session adopts is checked with :func:`is_pipeline`
-exactly once, where it is produced: a caller's candidate, a local
-repair, a splice or a seeded solve.  Churn totals are running sums, so
-the session keeps no per-event history and :meth:`~ReconfigurationSession.
-total_moved` and :meth:`~ReconfigurationSession.mean_churn` cost O(1).
+Untrusted candidates (a caller's pipeline or a cached row) and the
+trivial one-processor path are checked with :func:`is_pipeline`, once,
+where they are adopted.  The bit-space re-embeds are not: they are
+spanning start→end paths of the survivor's masked adjacency by
+construction (``adapt_witness`` checks coverage and the attachment
+masks; Pósa only walks masked edges and stops on an end-attached tail),
+and :func:`reconfigure` checks its own results.  Churn totals are
+running sums, so the session keeps no per-event history and :meth:`~
+ReconfigurationSession.total_moved` and :meth:`~ReconfigurationSession.
+mean_churn` cost O(1).
 """
 
 from __future__ import annotations
@@ -33,10 +43,16 @@ from typing import AbstractSet, Hashable, Iterable, Sequence
 
 from ..errors import ReconfigurationError
 from ..obs.spans import annotate, child_span
-from .hamilton import SolvePolicy, SpanningPathInstance, Status, solve_posa
+from .hamilton import (
+    IncrementalInstanceBuilder,
+    SolvePolicy,
+    Status,
+    solve_posa,
+)
 from .model import PipelineNetwork
 from .pipeline import Pipeline, is_pipeline
 from .reconfigure import reconfigure
+from .repair import adapt_witness
 
 Node = Hashable
 
@@ -82,6 +98,11 @@ def pipeline_churn(old: Pipeline, new: Pipeline) -> tuple[int, int]:
 class ReconfigurationSession:
     """Incrementally degraded network with churn tracking.
 
+    A session snapshots its network's structure at construction — the
+    processor set and the bit-space index its re-embeds run in — as the
+    control plane's fingerprint and canonicalizer do; mutating the
+    network's graph afterwards is not supported.
+
     >>> from .constructions import build
     >>> s = ReconfigurationSession(build(9, 2))
     >>> rec = s.fail("p3")
@@ -104,6 +125,7 @@ class ReconfigurationSession:
         self.faults: set[Node] = set()
         self.pipeline: Pipeline = reconfigure(network, (), self.policy)
         self._processors = network.processors
+        self._builder = IncrementalInstanceBuilder(network)
         # running churn totals: the events applied so far, the stages they
         # moved, and the churn ratios of the events that re-embedded
         self._events = 0
@@ -113,7 +135,11 @@ class ReconfigurationSession:
 
     @property
     def healthy_processors(self) -> frozenset:
-        return self.network.processors - self.faults
+        return self._processors - self.faults
+
+    def _healthy_count(self, faults: AbstractSet[Node]) -> int:
+        # set intersection iterates the smaller operand: O(|faults|)
+        return len(self._processors) - len(self._processors & faults)
 
     def serves(self, faults: AbstractSet[Node]) -> bool:
         """True when the current pipeline is a pipeline of the network
@@ -128,102 +154,17 @@ class ReconfigurationSession:
         (or without the revived processor), which no later event may
         serve as current.
         """
-        return faults.isdisjoint(self.pipeline.nodes) and (
-            self.pipeline.length
-            == len(self._processors) - len(self._processors & faults)
-        )
-
-    def _healthy_terminal_for(self, stage: Node, kind: str) -> Node | None:
-        terms = self.network.inputs if kind == "input" else self.network.outputs
-        for t in self.network.graph.neighbors(stage):
-            if t in terms and t not in self.faults:
-                return t
-        return None
-
-    def _local_repair(self, dead: Node) -> Pipeline | None:
-        """Splice the dead node out of the current pipeline with a
-        minimal-churn local repair.
-
-        After removing the dead stage the path is broken into a left and
-        a right half.  Repairs tried, cheapest first:
-
-        1. direct bridge: the halves' facing ends are adjacent;
-        2. 2-opt: reverse a prefix of the right half (or a suffix of the
-           left half) so a chord re-joins the halves — moves only the
-           reversed segment.
-
-        Dead terminals are handled by re-attaching the end stage to
-        another healthy terminal.  Returns ``None`` when no local repair
-        applies (caller falls back to heuristics / full reconfigure).
-        """
-        g = self.network.graph
-        nodes = list(self.pipeline.nodes)
-        if dead not in nodes:
-            return None
-        if dead == nodes[0] or dead == nodes[-1]:
-            # a terminal endpoint died: keep the stage order, swap the terminal
-            stages = list(self.pipeline.stages)
-            t_in = self._healthy_terminal_for(stages[0], "input")
-            t_out = self._healthy_terminal_for(stages[-1], "output")
-            if t_in is None or t_out is None:
-                return None
-            return Pipeline([t_in, *stages, t_out])
-        stages = [v for v in self.pipeline.stages if v != dead]
-        idx = self.pipeline.stages.index(dead)
-        left = list(self.pipeline.stages[:idx])
-        right = list(self.pipeline.stages[idx + 1:])
-
-        def finish(order: list[Node]) -> Pipeline | None:
-            if not order:
-                return None
-            t_in = self._healthy_terminal_for(order[0], "input")
-            t_out = self._healthy_terminal_for(order[-1], "output")
-            if t_in is None or t_out is None:
-                return None
-            if any(
-                not g.has_edge(a, b) for a, b in zip(order, order[1:])
-            ):
-                return None
-            return Pipeline([t_in, *order, t_out])
-
-        candidates: list[list[Node]] = []
-        if not left or not right:
-            candidates.append(stages)
-        elif g.has_edge(left[-1], right[0]):
-            candidates.append(left + right)
-        else:
-            # 2-opt on the right half: left ... left[-1] -- right[j] ...
-            # right[0] -- right[j+1] ... (reverse right[:j+1])
-            for j in range(1, len(right)):
-                if g.has_edge(left[-1], right[j]) and (
-                    j + 1 >= len(right) or g.has_edge(right[0], right[j + 1])
-                ):
-                    candidates.append(
-                        left + right[j::-1] + right[j + 1:]
-                    )
-                    break
-            # symmetric 2-opt on the left half
-            for j in range(len(left) - 1):
-                if g.has_edge(right[0], left[j]) and (
-                    j == 0 or g.has_edge(left[j - 1], left[-1])
-                ):
-                    candidates.append(
-                        left[:j] + left[:j-1:-1] + right
-                        if j > 0
-                        else left[::-1] + right
-                    )
-                    break
-        for order in candidates:
-            repaired = finish(order)
-            if repaired is not None:
-                return repaired
-        return None
+        return faults.isdisjoint(
+            self.pipeline.nodes
+        ) and self.pipeline.length == self._healthy_count(faults)
 
     def _valid(
         self, candidate: Pipeline | Sequence[Node] | None
     ) -> Pipeline | None:
         """*candidate* as a :class:`Pipeline` when it is one of the network
-        under the current faults, else ``None`` — the session's one check.
+        under the current faults, else ``None`` — the one check of every
+        untrusted candidate (a caller's pipeline or a cached row) and of
+        the trivial path.
 
         A bare node sequence (a cached row) is untrusted: it is checked
         before a :class:`Pipeline` is built from it, so a malformed one is
@@ -237,15 +178,14 @@ class ReconfigurationSession:
             return candidate
         return Pipeline.oriented(candidate, self.network)
 
-    def _stable_reembed(self, dead: Node) -> Pipeline | None:
-        """Minimal-churn re-embedding: local repair first, then a
-        previous-order-seeded heuristic.  Returns a validated pipeline or
-        ``None``."""
-        repaired = self._valid(self._local_repair(dead))
-        if repaired is not None:
-            annotate(path="local_repair")
-            return repaired
-        inst = SpanningPathInstance(self.network.surviving(self.faults))
+    def _reembed(self) -> Pipeline | None:
+        """Minimal-churn re-embedding under the current faults, in the
+        verifier's bit space: adapt the current stages (splice dead
+        nodes out, revived ones in), else a Pósa solve seeded with their
+        order on the same instance.  Returns a pipeline or ``None``."""
+        # an instance outside the bit space has fewer than two healthy
+        # processors, so it is always trivial
+        inst, _ = self._builder.instance(self.faults)
         if inst.trivial is not None:
             if inst.trivial.status is Status.FOUND:
                 annotate(path="trivial")
@@ -253,9 +193,14 @@ class ReconfigurationSession:
                     Pipeline.oriented(inst.trivial.path, self.network)
                 )
             return None
-        order = [
-            inst.index[p] for p in self.pipeline.stages if p in inst.index
-        ]
+        index = self._builder.index
+        order = [index[p] for p in self.pipeline.stages]
+        adapted = adapt_witness(
+            order, inst.adj, inst.full, inst.start_mask, inst.end_mask
+        )
+        if adapted is not None:
+            annotate(path="local_repair")
+            return Pipeline(inst.report_from_bits(adapted, "splice", 0).path)
         with child_span("seeded_solve"):
             report = solve_posa(
                 inst,
@@ -266,7 +211,7 @@ class ReconfigurationSession:
             )
         if report.status is Status.FOUND:
             annotate(path="seeded_solve")
-            return self._valid(Pipeline.oriented(report.path, self.network))
+            return Pipeline(report.path)
         return None
 
     def _record(
@@ -281,7 +226,7 @@ class ReconfigurationSession:
         record = ChurnRecord(
             fault=node,
             fault_index=self._events,
-            healthy_processors=len(self.healthy_processors),
+            healthy_processors=self._healthy_count(self.faults),
             moved=moved,
             kept=kept,
             was_on_pipeline=old is not None,
@@ -323,7 +268,7 @@ class ReconfigurationSession:
             annotate(path="witness_adopted")
         if new is None and self.minimize_churn:
             with child_span("stable_reembed", node=repr(node)) as rspan:
-                new = self._stable_reembed(node)
+                new = self._reembed()
                 rspan.set(found=new is not None)
             if new is not None:
                 annotate(path="stable_reembed")
@@ -341,18 +286,6 @@ class ReconfigurationSession:
     # ------------------------------------------------------------------
     # repair
     # ------------------------------------------------------------------
-    def _splice_in(self, node: Node) -> Pipeline | None:
-        """Insert a revived processor into the current pipeline with
-        minimal churn: find consecutive pipeline nodes ``(a, b)`` such that
-        ``a -- node -- b`` are edges and splice *node* between them."""
-        g = self.network.graph
-        nodes = list(self.pipeline.nodes)
-        for i in range(len(nodes) - 1):
-            a, b = nodes[i], nodes[i + 1]
-            if g.has_edge(a, node) and g.has_edge(node, b):
-                return Pipeline(nodes[: i + 1] + [node] + nodes[i + 1:])
-        return None
-
     def repair(
         self, node: Node, *, pipeline: Pipeline | Sequence[Node] | None = None
     ) -> ChurnRecord:
@@ -384,7 +317,7 @@ class ReconfigurationSession:
             annotate(path="witness_adopted")
         if new is None and self.minimize_churn:
             with child_span("splice_repair", node=repr(node)) as rspan:
-                new = self._valid(self._splice_in(node))
+                new = self._reembed()
                 rspan.set(found=new is not None)
             if new is not None:
                 annotate(path="splice_repair")

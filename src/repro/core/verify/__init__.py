@@ -17,6 +17,7 @@ serving process does — does not import numpy.
 
 from importlib import import_module
 
+from ..hamilton import IncrementalInstanceBuilder
 from .adversarial import (
     ADVERSARIAL_GENERATORS,
     attachment_attack,
@@ -40,11 +41,7 @@ from .symmetry import (
     orbit_representatives,
     verify_exhaustive_symmetry_reduced,
 )
-from .warm import (
-    IncrementalInstanceBuilder,
-    WitnessSweeper,
-    verify_exhaustive_warm,
-)
+from .warm import WitnessSweeper, verify_exhaustive_warm
 
 __all__ = [
     "VerificationCertificate",

@@ -61,7 +61,12 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from ..hamilton import SolvePolicy, Status, solve_posa
+from ..hamilton import (
+    IncrementalInstanceBuilder,
+    SolvePolicy,
+    Status,
+    solve_posa,
+)
 from ..model import PipelineNetwork
 
 Node = Hashable
@@ -180,8 +185,6 @@ class WitnessKernel:
         universe: Sequence[Node],
         k: int,
     ) -> None:
-        from .warm import IncrementalInstanceBuilder
-
         self.network = network
         self.k = k
         self.universe = list(universe)

@@ -45,6 +45,7 @@ from typing import Any, Hashable, Sequence
 import numpy as np
 
 from ...errors import VerificationError
+from ..hamilton import IncrementalInstanceBuilder
 from ..model import PipelineNetwork
 from .batch import GRAY_ELEMENT_CAP, gray_index_array
 
@@ -103,8 +104,6 @@ class SharedSweepContext:
         """Pack the sweep's read-only tables for *network* over the
         repr-sorted *universe*: adjacency mask rows, start/end masks and
         the revolving-door index array for each swept size."""
-        from .warm import IncrementalInstanceBuilder
-
         builder = IncrementalInstanceBuilder(network)
         nprocs = len(builder.procs)
         rowbytes = max(1, (nprocs + 7) // 8)

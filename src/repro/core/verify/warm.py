@@ -10,8 +10,10 @@ module exploits that structure twice:
 
 * **Incremental instance construction.**  One network-global set of
   adjacency bitmasks is built once; each fault set patches only the rows
-  its delta touches (:class:`IncrementalInstanceBuilder`), skipping the
-  per-set ``O(V + E)`` rebuild through subgraph views entirely.
+  its delta touches
+  (:class:`~repro.core.hamilton.IncrementalInstanceBuilder`, shared with
+  the online session), skipping the per-set ``O(V + E)`` rebuild
+  entirely.
 * **Witness propagation.**  The previous fault set's pipeline witness is
   adapted to the next set by local splice repairs
   (:func:`repro.core.repair.adapt_witness`): cut the newly dead node
@@ -36,11 +38,10 @@ import time
 from dataclasses import replace
 from typing import Callable, Hashable, Iterable, Sequence
 
-from ..._util import iter_bits
 from ...obs.spans import child_span
 from ..hamilton import (
+    IncrementalInstanceBuilder,
     SolvePolicy,
-    SpanningPathInstance,
     Status,
     solve,
     solve_posa,
@@ -51,117 +52,6 @@ from .certificates import VerificationCertificate, VerificationMode
 from .exhaustive import iter_fault_sets_gray
 
 Node = Hashable
-
-
-class IncrementalInstanceBuilder:
-    """Builds :class:`SpanningPathInstance` objects for successive fault
-    sets of one network by patching shared bitmask state.
-
-    Processors get *network-global* bit indices (the ``repr``-sorted
-    order every cold instance uses for its healthy survivors), so masks
-    stay comparable across fault sets and a witness path propagates as a
-    plain bit sequence.  Per fault set, only the adjacency rows touched
-    by the delta against the previous fault set are recomputed, and the
-    start/end attachment masks are refreshed from per-processor terminal
-    tables — no subgraph views, no re-sorting, no dict rebuilds.
-
-    Survivors with fewer than two healthy processors fall back to the
-    plain constructor (whose trivial-case analysis assumes dense
-    indexing); :meth:`instance` flags which space the instance lives in.
-    """
-
-    def __init__(self, network: PipelineNetwork) -> None:
-        self.network = network
-        g = network.graph
-        self.procs: list[Node] = sorted(network.processors, key=repr)
-        self.index: dict[Node, int] = {p: i for i, p in enumerate(self.procs)}
-        nprocs = len(self.procs)
-        self.all_mask = (1 << nprocs) - 1 if nprocs else 0
-        inputs, outputs = network.inputs, network.outputs
-        self.base_adj: list[int] = [0] * nprocs
-        self.in_terms: list[tuple[Node, ...]] = [()] * nprocs
-        self.out_terms: list[tuple[Node, ...]] = [()] * nprocs
-        self.base_start = self.base_end = 0
-        #: terminal -> bitmask of attached processors
-        self.term_procs: dict[Node, int] = {}
-        for p, i in self.index.items():
-            m = 0
-            ins: list[Node] = []
-            outs: list[Node] = []
-            for q in g.neighbors(p):
-                j = self.index.get(q)
-                if j is not None:
-                    m |= 1 << j
-                elif q in inputs:
-                    ins.append(q)
-                elif q in outputs:
-                    outs.append(q)
-            self.base_adj[i] = m
-            self.in_terms[i] = tuple(ins)
-            self.out_terms[i] = tuple(outs)
-            if ins:
-                self.base_start |= 1 << i
-            if outs:
-                self.base_end |= 1 << i
-            for t in ins + outs:
-                self.term_procs[t] = self.term_procs.get(t, 0) | (1 << i)
-        # mutable per-sweep state: adjacency rows masked to current survivors
-        self._adj: list[int] = list(self.base_adj)
-        self._full = self.all_mask
-
-    def _patch(self, full: int) -> None:
-        """Re-mask the adjacency rows affected by the survivor delta."""
-        changed = self._full ^ full
-        if changed:
-            rows = changed
-            for b in iter_bits(changed):
-                rows |= self.base_adj[b]
-            base_adj = self.base_adj
-            adj = self._adj
-            for i in iter_bits(rows & full):
-                adj[i] = base_adj[i] & full
-            self._full = full
-
-    def instance(
-        self, fault_set: Iterable[Node]
-    ) -> tuple[SpanningPathInstance, bool]:
-        """The instance for *fault_set*, plus whether it lives in the
-        builder's global bit space (``False`` = dense fallback; witness
-        bits must not be propagated across the two spaces)."""
-        faults = frozenset(fault_set)
-        fmask = 0
-        faulty_terms: list[Node] = []
-        for v in faults:
-            i = self.index.get(v)
-            if i is not None:
-                fmask |= 1 << i
-            else:
-                faulty_terms.append(v)
-        full = self.all_mask & ~fmask
-        self._patch(full)
-        if full.bit_count() < 2:
-            return SpanningPathInstance(self.network.surviving(faults)), False
-        start = self.base_start & full
-        end = self.base_end & full
-        for t in faulty_terms:
-            affected = self.term_procs.get(t, 0)
-            for i in iter_bits(affected & start):
-                if not any(u not in faults for u in self.in_terms[i]):
-                    start &= ~(1 << i)
-            for i in iter_bits(affected & end):
-                if not any(u not in faults for u in self.out_terms[i]):
-                    end &= ~(1 << i)
-        inst = SpanningPathInstance.from_parts(
-            self.network.surviving(faults),
-            self.procs,
-            self.index,
-            list(self._adj),
-            start,
-            end,
-            full,
-        )
-        return inst, True
-
 
 
 class WitnessSweeper:

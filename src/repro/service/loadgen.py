@@ -34,7 +34,9 @@ quantile, which is what the smoke gate below compares.
 The CI smoke gate (:func:`service_smoke_regressions`) fails on any
 ``validation_failures``, on a warm phase that loaded nothing from the
 store, and on warm p95 query latency more than 10% (plus a small
-absolute noise floor — queries are sub-millisecond) behind cold.
+absolute noise floor — queries are sub-millisecond) behind cold.  The
+smoke replays :data:`SMOKE_EVENTS` events per phase, so that p95 has at
+least 10 query samples beyond it: over fewer, one host blip moves it.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ _SMOKE_FLEET = (
     ("lz-a", dict(n=6, k=2)),
     ("lz-b", dict(n=6, k=2)),
 )
+
+#: trace events per phase by default: half are queries at the default
+#: query ratio, so the smoke's ~250 queries leave 12 beyond p95
+FULL_EVENTS = 600
+SMOKE_EVENTS = 500
 
 
 def register_fleet(plane: ControlPlane, *, smoke: bool = False) -> list[str]:
@@ -273,7 +280,9 @@ def run_service_bench(
     called with each phase's idle, fully-registered plane before load —
     the sanitizer attachment point.
     """
-    n_events = events if events is not None else (150 if smoke else 600)
+    n_events = events if events is not None else (
+        SMOKE_EVENTS if smoke else FULL_EVENTS
+    )
     arrival = rate if rate is not None else (200.0 if smoke else 300.0)
     tmp = None
     if store_path is None:

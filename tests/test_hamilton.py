@@ -1,5 +1,7 @@
 """Tests for repro.core.hamilton (spanning-path solvers)."""
 
+import functools
+import hashlib
 import itertools
 
 import networkx as nx
@@ -21,6 +23,7 @@ from repro.core.hamilton import (
 from repro.core.model import PipelineNetwork
 from repro.core.pipeline import is_pipeline
 from repro.errors import BudgetExceededError
+from repro.service.trace import demo_ring_network
 
 
 def path_network():
@@ -147,6 +150,58 @@ class TestPosa:
         order = [inst.index[p] for p in net.meta["canonical_order"]]
         rep = solve_posa(inst, restarts=8, seed=2, initial_order=order)
         assert rep.status is Status.FOUND
+
+
+@functools.lru_cache(maxsize=None)
+def posa_instance(case):
+    if case == "G(13,2)":
+        return SpanningPathInstance(build(13, 2).surviving(["p1"]))
+    if case == "ring-C16(1,2)":
+        net = demo_ring_network(16, (1, 2))
+        return SpanningPathInstance(net.surviving(["c3", "c7"]))
+    g60 = build(60, 4)
+    bare = PipelineNetwork(g60.graph, g60.inputs, g60.outputs, n=60, k=4)
+    return SpanningPathInstance(bare.surviving(["c14", "c15", "c20"]))
+
+
+#: ``solve_posa`` reports recorded before the visited mask became a
+#: running mask: (instance, seed, arguments) -> (status, nodes_expanded,
+#: the first 16 hex digits of the sha256 of ``repr(path)``).  Same seed,
+#: same RNG draws, same report.
+POSA_PINNED = [
+    ("G(13,2)", 0, "default", "found", 21, "12bd594cefd98973"),
+    ("G(13,2)", 0, "short", "undecided", 15, None),
+    ("G(13,2)", 0, "reversed-order", "found", 19, "37fdf746f2590af2"),
+    ("G(13,2)", 7, "default", "found", 33, "e3b7f0fddc4ffcf6"),
+    ("G(13,2)", 7, "short", "undecided", 15, None),
+    ("G(13,2)", 7, "reversed-order", "found", 16, "46c25fc183ba6dcc"),
+    ("ring-C16(1,2)", 0, "default", "found", 14, "b1762af989dc68a1"),
+    ("ring-C16(1,2)", 0, "short", "found", 14, "b1762af989dc68a1"),
+    ("ring-C16(1,2)", 0, "reversed-order", "found", 20, "bcd6f1a95452ef47"),
+    ("ring-C16(1,2)", 7, "default", "found", 21, "4ff2a9ccbb33bdb5"),
+    ("ring-C16(1,2)", 7, "short", "undecided", 15, None),
+    ("ring-C16(1,2)", 7, "reversed-order", "found", 150, "71839cfdc557442e"),
+    ("bare G(60,4)", 0, "default", "found", 191, "34c1001f09e7b916"),
+    ("bare G(60,4)", 0, "short", "undecided", 48, None),
+    ("bare G(60,4)", 0, "reversed-order", "found", 134, "e3de4b653ef95678"),
+    ("bare G(60,4)", 7, "default", "found", 1946, "17d0fe897df91cd8"),
+    ("bare G(60,4)", 7, "short", "undecided", 47, None),
+    ("bare G(60,4)", 7, "reversed-order", "found", 70, "eac6fa03628d0735"),
+]
+
+
+@pytest.mark.parametrize("case,seed,args,status,expanded,digest", POSA_PINNED)
+def test_posa_reports_are_pinned(case, seed, args, status, expanded, digest):
+    inst = posa_instance(case)
+    kwargs = {
+        "default": {},
+        "short": {"restarts": 1, "rotations": 3},
+        "reversed-order": {"initial_order": list(range(inst.h))[::-1]},
+    }[args]
+    rep = solve_posa(inst, seed=seed, **kwargs)
+    assert (rep.status.value, rep.nodes_expanded) == (status, expanded)
+    if digest is not None:
+        assert hashlib.sha256(repr(rep.path).encode()).hexdigest()[:16] == digest
 
 
 class TestCountSpanningPaths:

@@ -9,6 +9,7 @@ from repro.errors import ReproError
 from repro.obs.quantiles import SUB_BUCKETS, summarize_samples
 from repro.service import ControlPlane, ControlPlaneConfig
 from repro.service.loadgen import (
+    SMOKE_EVENTS,
     build_workload,
     format_service_table,
     register_fleet,
@@ -191,3 +192,21 @@ class TestSmokeGate:
         assert any(
             "p95" in line for line in service_smoke_regressions(loud)
         )
+
+    def test_doubled_warm_p95_fails(self):
+        """A warm p95 at twice a typical smoke cold p95 clears both the
+        10% tolerance and the 0.5 ms floor."""
+        doubled = {"rows": [self.row("cold", p95=0.0006),
+                            self.row("warm", p95=0.0012)]}
+        assert any(
+            "p95" in line for line in service_smoke_regressions(doubled)
+        )
+
+    def test_smoke_phase_leaves_ten_queries_beyond_p95(self):
+        with ControlPlane(ControlPlaneConfig(workers=1)) as plane:
+            register_fleet(plane, smoke=True)
+            workload = build_workload(
+                plane, events=SMOKE_EVENTS, rate=200.0, query_ratio=0.5
+            )
+        queries = sum(ev.kind == "query" for _, ev in workload)
+        assert queries * (1 - 0.95) >= 10

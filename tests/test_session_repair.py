@@ -3,7 +3,10 @@ entry points into :class:`ReconfigurationSession`)."""
 
 import tracemalloc
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.pipeline
 import repro.core.session
@@ -11,16 +14,45 @@ from repro.core.constructions import build
 from repro.core.hamilton import SolvePolicy
 from repro.core.model import PipelineNetwork
 from repro.core.pipeline import Pipeline, is_pipeline
-from repro.core.session import ReconfigurationSession
+from repro.core.session import ReconfigurationSession, pipeline_churn
 from repro.errors import BudgetExceededError, ReconfigurationError, ReproError
+from repro.service.trace import demo_ring_network
+
+
+def bare(net):
+    """*net* without construction metadata, so ``reconfigure`` falls back
+    to the generic solvers."""
+    return PipelineNetwork(net.graph, net.inputs, net.outputs, n=net.n, k=net.k)
 
 
 def bare_g60():
     """G(60,4) without construction metadata, so ``reconfigure`` cannot
     take the asymptotic fast path: with faults {c13, c14, c15, c20} the
     generic solvers exhaust a small budget."""
-    net = build(60, 4)
-    return PipelineNetwork(net.graph, net.inputs, net.outputs, n=60, k=4)
+    return bare(build(60, 4))
+
+
+def count_is_pipeline(monkeypatch) -> list:
+    """Count the session's ``is_pipeline`` calls; returns the list the
+    calls append to."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return repro.core.pipeline.is_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(repro.core.session, "is_pipeline", counting)
+    return calls
+
+
+def forbid_reconfigure(monkeypatch) -> None:
+    """Fail the test if the session falls back to full reconfiguration,
+    so a passing event re-embedded in the bit space."""
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("fell back to full reconfiguration")
+
+    monkeypatch.setattr(repro.core.session, "reconfigure", unexpected)
 
 
 class TestRepair:
@@ -154,26 +186,118 @@ class TestFailedReembed:
         assert is_pipeline(s.network, s.pipeline.nodes, s.faults)
 
 
-class TestOneValidation:
-    def test_single_faults_validate_once(self, monkeypatch):
-        """A local repair or seeded solve is checked once where it is
-        produced, not again by :meth:`fail`."""
-        calls = []
+class TestValidationBoundary:
+    """Untrusted candidates are checked with ``is_pipeline`` once, where
+    they are adopted; the session's own bit-space re-embeds are spanning
+    paths by construction and are not re-walked."""
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return repro.core.pipeline.is_pipeline(*args, **kwargs)
-
-        monkeypatch.setattr(repro.core.session, "is_pipeline", counting)
+    def test_bit_space_reembeds_call_is_pipeline_zero_times(self, monkeypatch):
+        """Failing and then repairing each stage of G(9,2) re-embeds in
+        the bit space without one ``is_pipeline`` call."""
         net = build(9, 2)
         stages = ReconfigurationSession(net).pipeline.stages
-        per_fault = []
-        for stage in stages:
-            s = ReconfigurationSession(net)
-            del calls[:]
-            s.fail(stage)
-            per_fault.append(len(calls))
-        assert per_fault == [1] * len(stages)
+        # built before reconfigure is forbidden: construction embeds
+        sessions = [ReconfigurationSession(net) for _ in stages]
+        calls = count_is_pipeline(monkeypatch)
+        forbid_reconfigure(monkeypatch)
+        per_event = []
+        for s, stage in zip(sessions, stages):
+            for event in (s.fail, s.repair):
+                rec = event(stage)
+                per_event.append(len(calls))
+                assert rec.was_on_pipeline and not rec.adopted
+                assert is_pipeline(net, s.pipeline, s.faults)
+        assert per_event == [0] * (2 * len(sessions))
+
+    def test_cached_candidate_is_checked_once(self, monkeypatch):
+        probe = ReconfigurationSession(build(9, 2))
+        probe.fail("p3")
+        s = ReconfigurationSession(build(9, 2))
+        calls = count_is_pipeline(monkeypatch)
+        rec = s.fail("p3", pipeline=probe.pipeline.nodes)
+        assert rec.adopted
+        assert len(calls) == 1
+
+
+def two_terminal_network():
+    """K4 on p0..p3 whose only input-attached processor p0 carries two
+    input terminals and whose only output-attached processor p3 carries
+    two output terminals: every pipeline runs p0 ... p3."""
+    g = nx.complete_graph(["p0", "p1", "p2", "p3"])
+    g.add_edges_from([("ia", "p0"), ("ib", "p0"), ("p3", "oa"), ("p3", "ob")])
+    return PipelineNetwork(g, ["ia", "ib"], ["oa", "ob"], n=3, k=1)
+
+
+def end_only_network(end):
+    """A path a - b - c with chord a - c and a processor r that is adjacent
+    only to a (``end="head"``) or only to c (``end="tail"``), with its own
+    terminal on that side: r fits into the pipeline only at that end."""
+    g = nx.Graph([("a", "b"), ("b", "c"), ("a", "c"), ("ia", "a"), ("c", "oc")])
+    if end == "head":
+        g.add_edges_from([("r", "a"), ("ir", "r")])
+        return PipelineNetwork(g, ["ia", "ir"], ["oc"], n=3, k=1)
+    g.add_edges_from([("c", "r"), ("r", "or")])
+    return PipelineNetwork(g, ["ia"], ["oc", "or"], n=3, k=1)
+
+
+class TestBitSpaceReembed:
+    def test_dead_terminal_endpoint_keeps_stage_order(self, monkeypatch):
+        s = ReconfigurationSession(two_terminal_network())
+        stages, source = s.pipeline.stages, s.pipeline.source
+        forbid_reconfigure(monkeypatch)
+        rec = s.fail(source)
+        assert s.pipeline.stages == stages
+        assert s.pipeline.source == ({"ia", "ib"} - {source}).pop()
+        assert rec.was_on_pipeline and rec.moved == 0
+        assert is_pipeline(s.network, s.pipeline, s.faults)
+
+    @pytest.mark.parametrize("end", ["head", "tail"])
+    def test_revived_processor_fits_only_at_an_end(self, monkeypatch, end):
+        s = ReconfigurationSession(end_only_network(end))
+        s.fail("r")
+        assert s.pipeline.stages == ("a", "b", "c")
+        forbid_reconfigure(monkeypatch)
+        s.repair("r")
+        expected = ("r", "a", "b", "c") if end == "head" else ("a", "b", "c", "r")
+        assert s.pipeline.stages == expected
+        assert is_pipeline(s.network, s.pipeline, s.faults)
+
+
+def bare_ring(m):
+    """C_m(1,2) with one input and one output terminal per node."""
+    return bare(demo_ring_network(m))
+
+
+@pytest.mark.parametrize(
+    "network",
+    [bare_ring(10), bare(build(9, 2)), bare(build(7, 3))],
+    ids=["ring-C10(1,2)", "G(9,2)", "G(7,3)"],
+)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(picks=st.lists(st.integers(min_value=0), max_size=14))
+def test_random_fail_repair_sequences(network, picks):
+    """Random fail/repair sequences of at most k faults on networks
+    without construction metadata: every pipeline passes the reference
+    ``is_pipeline``, and the running churn totals equal the sums of
+    ``pipeline_churn`` recomputed from the pipelines."""
+    nodes = sorted(network.graph.nodes, key=repr)
+    s = ReconfigurationSession(network)
+    moved = reembeds = 0
+    churn = 0.0
+    for pick in picks:
+        node = nodes[pick % len(nodes)]
+        if node not in s.faults and len(s.faults) == network.k:
+            node = sorted(s.faults, key=repr)[pick % network.k]
+        old = s.pipeline
+        (s.repair if node in s.faults else s.fail)(node)
+        assert is_pipeline(network, s.pipeline, s.faults)
+        if s.pipeline is not old:
+            m, kept = pipeline_churn(old, s.pipeline)
+            moved += m
+            churn += m / (m + kept)
+            reembeds += 1
+    assert s.total_moved() == moved
+    assert s.mean_churn() == (churn / reembeds if reembeds else 0.0)
 
 
 class TestRunningTotals:

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.constructions import build, build_special
-from repro.core.hamilton import SolvePolicy, SpanningPathInstance, solve
+from repro.core.hamilton import (
+    IncrementalInstanceBuilder,
+    SolvePolicy,
+    SpanningPathInstance,
+    solve,
+)
 from repro.core.model import PipelineNetwork
 from repro.core.verify import (
     gray_unrank,
@@ -23,7 +28,7 @@ from repro.core.verify import batch, parallel
 from repro.core.verify.batch import WitnessKernel, gray_index_array
 from repro.core.verify.bench import _big_ring, _kernel_accepted
 from repro.core.verify.exhaustive import _revolving
-from repro.core.verify.warm import IncrementalInstanceBuilder, WitnessSweeper
+from repro.core.verify.warm import WitnessSweeper
 
 
 def broken_network():

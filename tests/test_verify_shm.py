@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.core.constructions import build, build_special
+from repro.core.hamilton import IncrementalInstanceBuilder
 from repro.core.verify import (
     SharedSweepContext,
     ShmWorkerPool,
@@ -26,7 +27,6 @@ from repro.core.verify.shm import (
     AttachedSweepContext,
     WorkerPoolError,
 )
-from repro.core.verify.warm import IncrementalInstanceBuilder
 
 FORK = hasattr(multiprocessing, "get_context") and "fork" in (
     multiprocessing.get_all_start_methods()

@@ -8,7 +8,13 @@ import networkx as nx
 import pytest
 
 from repro.core.constructions import build, build_special
-from repro.core.hamilton import SolvePolicy, SpanningPathInstance, Status, solve
+from repro.core.hamilton import (
+    IncrementalInstanceBuilder,
+    SolvePolicy,
+    SpanningPathInstance,
+    Status,
+    solve,
+)
 from repro.core.model import PipelineNetwork
 from repro.core.repair import adapt_witness, splice_in_bit, splice_out_bit
 from repro.core.verify import (
@@ -20,7 +26,7 @@ from repro.core.verify import (
     verify_exhaustive_warm,
 )
 from repro.core.verify.symmetry import enumerate_group
-from repro.core.verify.warm import IncrementalInstanceBuilder, WitnessSweeper
+from repro.core.verify.warm import WitnessSweeper
 
 
 def broken_network():
