@@ -70,7 +70,7 @@ from .service import (
     ControlPlaneConfig,
     MetricsSnapshot,
     PipelineAnswer,
-    WitnessCache,
+    TieredWitnessCache,
 )
 
 __version__ = "1.0.0"
@@ -118,7 +118,7 @@ __all__ = [
     "ControlPlaneConfig",
     "PipelineAnswer",
     "MetricsSnapshot",
-    "WitnessCache",
+    "TieredWitnessCache",
     # errors
     "ReproError",
     "InvalidParameterError",

@@ -7,11 +7,11 @@ chunk.  This module keeps both small with two pieces:
 * :class:`SharedSweepContext` — a single ``multiprocessing.shared_memory``
   segment, packed once by the parent, holding the sweep's bulk read-only
   tables: the revolving-door index arrays per fault-set size (the
-  address space of the chunk protocol), the network's flat adjacency
-  bitmask rows (the input of the flat Held-Karp tables and the witness
-  kernel's bridge chords), and the start/end attachment masks.  Workers
-  attach once at startup and map numpy views straight onto the buffer —
-  a chunk dispatch carries **no** per-task table data at all.  Where the
+  address space of the chunk protocol) and the network's flat adjacency
+  bitmask rows, which a worker compares with its own network's to check
+  that the segment belongs to this sweep.  Workers attach once at
+  startup and map numpy views straight onto the buffer — a chunk
+  dispatch carries **no** per-task table data at all.  Where the
   platform has no usable shared memory the same payload travels once
   through the worker initializer as plain bytes: identical semantics,
   one copy per worker.
@@ -102,8 +102,8 @@ class SharedSweepContext:
         use_shm: bool | None = None,
     ) -> "SharedSweepContext":
         """Pack the sweep's read-only tables for *network* over the
-        repr-sorted *universe*: adjacency mask rows, start/end masks and
-        the revolving-door index array for each swept size."""
+        repr-sorted *universe*: adjacency mask rows and the
+        revolving-door index array for each swept size."""
         builder = IncrementalInstanceBuilder(network)
         nprocs = len(builder.procs)
         rowbytes = max(1, (nprocs + 7) // 8)
@@ -121,12 +121,6 @@ class SharedSweepContext:
             row.to_bytes(rowbytes, "little") for row in builder.base_adj
         )
         pack("adj", adj, (nprocs, rowbytes))
-        pack(
-            "ends",
-            builder.base_start.to_bytes(rowbytes, "little")
-            + builder.base_end.to_bytes(rowbytes, "little"),
-            (rowbytes,),
-        )
         n = len(universe)
         for j in sorted({s for s in sizes if s >= 1}):
             if j > n or comb(n, j) * j > GRAY_ELEMENT_CAP:
@@ -212,13 +206,6 @@ class AttachedSweepContext:
             int.from_bytes(blob[i * rowbytes : (i + 1) * rowbytes], "little")
             for i in range(nprocs)
         ]
-
-    def end_masks(self) -> tuple[int, int]:
-        blob, (rowbytes,) = self.raw("ends")
-        return (
-            int.from_bytes(blob[:rowbytes], "little"),
-            int.from_bytes(blob[rowbytes:], "little"),
-        )
 
     def gray(self, j: int) -> np.ndarray | None:
         """The size-*j* revolving-door index array mapped straight onto

@@ -158,7 +158,7 @@ class LockModel:
 
 def _constructed_class(expr: ast.AST, known: set[str]) -> str | None:
     """A known class constructed anywhere inside *expr* (handles
-    ``self.cache = cache or WitnessCache(...)``)."""
+    ``self.cache = cache or TieredWitnessCache(...)``)."""
     for node in ast.walk(expr):
         name = call_name(node)
         if name in known:

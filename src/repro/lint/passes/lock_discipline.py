@@ -1,8 +1,8 @@
 """RL1xx — lock discipline: guarded state is only mutated under its lock.
 
-A class that owns a ``threading.Lock``/``RLock`` attribute (``ManagedNetwork``,
-``ControlPlane``, ``WitnessCache``, ...) is declaring that its mutable state
-is shared between threads; every mutation of its attributes must therefore
+A class that owns a ``threading.Lock``/``RLock`` attribute (``ControlPlane``,
+``TieredWitnessCache``, ``Mailbox``, ...) is declaring that its mutable
+state is shared between threads; every mutation of its attributes must therefore
 happen inside a ``with <instance>.<lock>`` block.  ``__init__`` is exempt
 (the instance is not published yet), as is assigning the lock attribute
 itself.  The same applies at module granularity: a module that owns a

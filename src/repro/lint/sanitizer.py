@@ -237,7 +237,7 @@ def instrument_plane(plane, monitor: LockOrderMonitor) -> list[SanitizedLock]:
     plane._lock = wrap_lock(plane._lock, "ControlPlane._lock", monitor)
     wrapped.append(plane._lock)
     plane.cache._lock = wrap_lock(
-        plane.cache._lock, "WitnessCache._lock", monitor
+        plane.cache._lock, "TieredWitnessCache._lock", monitor
     )
     wrapped.append(plane.cache._lock)
     for managed in plane:
@@ -492,14 +492,13 @@ def instrument_races(
 ) -> dict[str, frozenset]:
     """Instrument a live control plane for lockset race detection.
 
-    Covers the plane itself, its witness cache (including the tiered
-    subclass via the MRO walk) and every currently-registered network's
-    mailbox and counters — the same objects :func:`instrument_plane`
-    wraps the locks of, and the two are meant to be used together: the
-    detector reads held locks from the monitor, so only
-    ``SanitizedLock``-wrapped locks contribute to locksets.  Instrument
-    while the plane is idle; the ``__class__`` swap is not safe under
-    concurrent access.
+    Covers the plane itself, its witness cache and every
+    currently-registered network's mailbox and counters — the same
+    objects :func:`instrument_plane` wraps the locks of, and the two are
+    meant to be used together: the detector reads held locks from the
+    monitor, so only ``SanitizedLock``-wrapped locks contribute to
+    locksets.  Instrument while the plane is idle; the ``__class__`` swap
+    is not safe under concurrent access.
 
     Returns ``{class name: tracked fields}`` for what got instrumented.
     """

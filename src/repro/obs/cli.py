@@ -149,7 +149,7 @@ def find_complete_chains(spans: Sequence[Mapping]) -> list[str]:
 def _span_label(span: Mapping) -> str:
     attrs = span.get("attrs", {})
     extras = []
-    for key in ("kind", "network", "node", "solver", "tier", "result"):
+    for key in ("kind", "network", "node", "solver", "result"):
         if key in attrs:
             extras.append(f"{key}={attrs[key]}")
     status = span.get("status", "ok")

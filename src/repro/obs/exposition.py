@@ -160,15 +160,12 @@ def render_prometheus(snapshot, *, anomalies: Mapping[str, int] | None = None) -
             store.write_behind_depth,
         )
         for field in (
-            "persist_hits",
-            "persist_misses",
             "warm_loaded",
             "writes",
             "write_errors",
             "validation_failures",
             "torn_rows",
             "encode_skips",
-            "invalidated",
         ):
             lines.add(
                 f"{_PREFIX}_store_{field}_total",

@@ -9,15 +9,15 @@ witnesses, shedding load deliberately and reporting what it did.
 * :mod:`repro.service.control` — the :class:`ControlPlane` itself:
   registry, worker pool with per-network serialization, admission control
   and deadline-driven fast-path degradation;
-* :mod:`repro.service.cache` — the LRU witness cache of validated
-  pipelines keyed by canonical fault sets;
-* :mod:`repro.service.canonical` — structural fingerprints and
-  automorphism-aware fault-set canonicalization;
+* :mod:`repro.service.cache` — the witness cache's accounting;
+* :mod:`repro.service.canonical` — structural fingerprints, fault-set
+  keys and the store's row serialization;
 * :mod:`repro.service.metrics` — per-event records and the
   health/metrics snapshot;
 * :mod:`repro.service.store` — the persistent (SQLite) witness tier;
-* :mod:`repro.service.tiering` — write-behind/cache-aside composition of
-  the memory LRU over the store, plus warm start;
+* :mod:`repro.service.tiering` — the witness cache: an LRU of validated
+  pipelines keyed by fault set, writing behind to the store and warm
+  starting from it;
 * :mod:`repro.service.mailbox` — the per-network actor mailbox and the
   atomic counters behind the plane's lock-free read paths;
 * :mod:`repro.service.loadgen` — the open-loop load harness behind
@@ -32,7 +32,7 @@ each event's work is smaller than a pickled pipe round trip
 """
 
 from ..obs.quantiles import LatencyHistogram
-from .cache import CacheStats, WitnessCache
+from .cache import CacheStats
 from .canonical import Canonicalizer, network_fingerprint, plain_fault_key
 from .control import (
     ControlPlane,
@@ -67,7 +67,6 @@ __all__ = [
     "Mailbox",
     "AtomicCounters",
     "PipelineAnswer",
-    "WitnessCache",
     "CacheStats",
     "Canonicalizer",
     "network_fingerprint",

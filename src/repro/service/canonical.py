@@ -1,32 +1,22 @@
-"""Canonical forms for fault sets and networks.
+"""Cache keys for fault sets and networks.
 
-The witness cache (:mod:`repro.service.cache`) wants two fault patterns to
-share a cache entry whenever their solutions are interchangeable.  Two
-levels of sharing apply:
+The witness cache (:mod:`repro.service.tiering`) keys each row by two
+things:
 
-**Structural sharing.**  The factory builds are deterministic, so two
-replicas of ``build(9, 2)`` are *identical* labeled graphs; a pipeline
-solved for a fault set on one replica is verbatim valid on the other.
-:func:`network_fingerprint` hashes the labeled structure so replicas land
-on the same cache rows regardless of their registry names.
+**The network's structure.**  The factory builds are deterministic, so
+two replicas of ``build(9, 2)`` are *identical* labeled graphs; a
+pipeline solved for a fault set on one replica is verbatim valid on the
+other.  :func:`network_fingerprint` hashes the labeled structure so
+replicas land on the same cache rows regardless of their registry names.
 
-**Symmetry sharing.**  A kind-preserving automorphism ``sigma`` of the
-network maps pipelines of ``G \\ F`` to pipelines of ``G \\ sigma(F)``
-(:mod:`repro.graphs.automorphisms`).  For vertex-transitive cores — e.g.
-the circulant of the Section 3.4 asymptotic construction, or any
-circulant ring with terminals attached uniformly — whole orbits of fault
-sets collapse to one entry: a single-node fault has *one* canonical form
-instead of ``m``.  :class:`Canonicalizer` picks, over the enumerated
-automorphisms, the image of the fault set that minimizes the sorted label
-key, and remembers which ``sigma`` achieved it so cached pipelines can be
-mapped back through ``sigma^{-1}``.
-
-Enumeration is bounded: highly symmetric graphs (the ``G(1,k)`` cliques)
-have factorially many automorphisms, so only the first
-``limit`` are kept.  A truncated group costs cache *hits* (orbit members
-may canonicalize differently) but never correctness — every stored entry
-is the image of a validated pipeline under a genuine automorphism, and
-served entries are re-validated against the live fault set anyway.
+**The fault set's labels.**  :class:`Canonicalizer` keys a fault set by
+its sorted ``repr`` labels (:func:`plain_fault_key`), so a row is the
+pipeline of exactly the fault set its key names.  Keys are not
+minimized over the network's automorphisms: on measured traffic that
+added no hits and its automorphism lists cost most of a replica fleet's
+registration (``docs/service.md``).  Stores whose keys were minimized
+still serve, because each of their rows pairs the key of an image
+``sigma(F)`` with a pipeline for ``sigma(F)``.
 """
 
 from __future__ import annotations
@@ -38,12 +28,11 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from ..core.model import PipelineNetwork
 from ..errors import ReproError
-from ..graphs.automorphisms import iter_automorphisms
 
 Node = Hashable
 
-#: A canonical fault key: the sorted ``repr`` labels of the (canonicalized)
-#: fault set.  ``repr`` keys keep heterogeneous node labels comparable.
+#: A fault key: the sorted ``repr`` labels of the fault set.  ``repr``
+#: keys keep heterogeneous node labels comparable.
 FaultKey = tuple[str, ...]
 
 
@@ -71,7 +60,7 @@ def network_fingerprint(network: PipelineNetwork) -> str:
 
 
 def plain_fault_key(faults: Iterable[Node]) -> FaultKey:
-    """The symmetry-blind canonical key: sorted node labels."""
+    """The cache key of a fault set: its sorted node labels."""
     return tuple(sorted(repr(v) for v in faults))
 
 
@@ -88,7 +77,7 @@ def plain_fault_key(faults: Iterable[Node]) -> FaultKey:
 
 
 def encode_fault_key(key: FaultKey) -> str:
-    """Serialize a canonical fault key to its stable text form.
+    """Serialize a fault key to its stable text form.
 
     Keys are already tuples of ``repr`` labels (plain strings), so a
     compact JSON array is deterministic as-is.
@@ -160,7 +149,7 @@ def label_map(network: PipelineNetwork) -> dict[str, Node]:
 def decode_fault_set(
     key: FaultKey, labels: Mapping[str, Node]
 ) -> frozenset | None:
-    """The live fault set a canonical key denotes, or ``None`` when any
+    """The live fault set a fault key denotes, or ``None`` when any
     label is unknown to *labels* (a row persisted for a different or
     mutated structure — never guess)."""
     out = []
@@ -172,69 +161,15 @@ def decode_fault_set(
 
 
 class Canonicalizer:
-    """Maps fault sets of one network to canonical ``(key, sigma)`` pairs.
+    """Maps fault sets to their cache keys.
 
-    ``sigma`` is the automorphism (a node mapping) whose image of the
-    fault set realizes the canonical key, or ``None`` when the identity
-    does (also the case when symmetry is disabled).  Callers store
-    pipelines in *canonical* label space (``sigma`` applied) and serve
-    them back through :meth:`map_back` (``sigma`` inverted).
+    A class rather than a bare call so that the benchmark's layer tracing
+    (``bench/layers.py``) can time ``canonical`` as its own layer.
+
+    >>> Canonicalizer().canonical({"p3", "p1"})
+    ("'p1'", "'p3'")
     """
 
-    def __init__(
-        self,
-        network: PipelineNetwork,
-        *,
-        mode: str = "auto",
-        max_nodes: int = 64,
-        limit: int = 512,
-    ) -> None:
-        if mode not in ("auto", "off", "full"):
-            raise ValueError(f"unknown symmetry mode {mode!r}")
-        self.network = network
-        self.automorphisms: list[dict] = []
-        self.truncated = False
-        enabled = mode == "full" or (mode == "auto" and len(network) <= max_nodes)
-        if enabled:
-            for auto in iter_automorphisms(network):
-                if any(auto[v] != v for v in auto):
-                    self.automorphisms.append(auto)
-                if len(self.automorphisms) >= limit:
-                    self.truncated = True
-                    break
-
-    @property
-    def order_seen(self) -> int:
-        """Non-identity automorphisms in use (0 = symmetry-blind)."""
-        return len(self.automorphisms)
-
-    def canonical(self, faults: Iterable[Node]) -> tuple[FaultKey, dict | None]:
-        """The canonical key of *faults* and the automorphism achieving it."""
-        fset = list(faults)
-        best_key = plain_fault_key(fset)
-        best_sigma: dict | None = None
-        for sigma in self.automorphisms:
-            key = tuple(sorted(repr(sigma[v]) for v in fset))
-            if key < best_key:
-                best_key, best_sigma = key, sigma
-        return best_key, best_sigma
-
-    @staticmethod
-    def map_forward(nodes: Sequence[Node], sigma: dict | None) -> tuple[Node, ...]:
-        """Apply ``sigma`` to a node sequence (identity when ``None``)."""
-        if sigma is None:
-            return tuple(nodes)
-        return tuple(sigma[v] for v in nodes)
-
-    @staticmethod
-    def map_back(nodes: Sequence[Node], sigma: dict | None) -> tuple[Node, ...]:
-        """Apply ``sigma^{-1}`` to a node sequence (identity when ``None``).
-
-        A label outside the network (a corrupt cached row) has no preimage
-        and passes through unchanged, so the validation that every cached
-        row gets rejects it instead of this lookup raising.
-        """
-        if sigma is None:
-            return tuple(nodes)
-        inverse = {w: v for v, w in sigma.items()}
-        return tuple(inverse.get(v, v) for v in nodes)
+    def canonical(self, faults: Iterable[Node]) -> FaultKey:
+        """The key of *faults*: :func:`plain_fault_key`."""
+        return plain_fault_key(faults)

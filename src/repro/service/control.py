@@ -19,16 +19,17 @@ latency history) belongs exclusively to the active drain worker, and
 queries read immutable atomically-published snapshots without locking
 (the ``*_published`` convention — see :mod:`repro.service.mailbox`).
 
-**Witness caching.**  Before solving, the target fault set is
-canonicalized (:mod:`repro.service.canonical`) and looked up in the
-:class:`~repro.service.cache.WitnessCache`; a hit is mapped back and
-handed to the session, whose one ``is_pipeline`` check decides whether it
-is adopted without invoking any solver.  A row the session rejects is
+**Witness caching.**  Before solving, the target fault set is keyed by
+its sorted labels (:mod:`repro.service.canonical`) and looked up in the
+memory LRU of :class:`~repro.service.tiering.TieredWitnessCache`; a hit
+is handed to the session, whose one ``is_pipeline`` check decides whether
+it is adopted without invoking any solver.  A row the session rejects is
 dropped, flagged as a ``validation_failure`` anomaly and handled as a
-miss.  Rows are keyed by structural fingerprint, so
-replicas of the same deterministic build share entries, and — for
-symmetric networks such as vertex-transitive circulants — whole
-automorphism orbits of fault patterns collapse onto single rows.
+miss.  Rows are keyed by structural fingerprint, so replicas of the same
+deterministic build share entries.  With ``store_path`` set, solved rows
+are also written behind to a SQLite store, which a later plane reads
+once per structure when it registers (warm start); the event path never
+reads the store.
 
 **Admission control and graceful degradation.**  Each network's backlog is
 bounded (``max_pending``); overflow events are shed with
@@ -64,7 +65,6 @@ from ..errors import ReproError, ServiceOverloadError
 from ..obs.quantiles import LatencyHistogram
 from ..obs.recorder import FlightRecorder
 from ..obs.spans import NOOP_TRACER, Tracer
-from .cache import WitnessCache
 from .canonical import Canonicalizer, network_fingerprint
 from .mailbox import AtomicCounters, Mailbox
 from .metrics import (
@@ -73,6 +73,8 @@ from .metrics import (
     MetricsSnapshot,
     NetworkStats,
 )
+from .store import WitnessStore
+from .tiering import TieredWitnessCache
 
 Node = Hashable
 
@@ -90,10 +92,8 @@ class ControlPlaneConfig:
     ``deadline`` is the solve-latency budget in seconds: once a network's
     EWMA solve cost exceeds it, later solves use the trimmed fast-path
     policy (``None`` disables; ``0.0`` forces the fast path after the
-    first measured solve).  Symmetry detection, the write-behind queue
-    and warm start run with the defaults of
-    :class:`~repro.service.canonical.Canonicalizer` and
-    :class:`~repro.service.tiering.TieredWitnessCache`.
+    first measured solve).  The write-behind queue runs with the
+    constants of :mod:`repro.service.tiering`.
     """
 
     workers: int = 4
@@ -104,7 +104,6 @@ class ControlPlaneConfig:
     #: cache purely in-memory.  The plane owns (and closes) a store it
     #: opened itself.
     store_path: str | None = None
-    store_max_rows: int | None = None
     #: enable causal tracing: every event/query gets a span tree and a
     #: flight recorder captures recent spans + anomaly dumps.  Off by
     #: default — the no-op tracer costs nothing on the event path.
@@ -200,7 +199,7 @@ class ManagedNetwork:
         self.fast_policy = fast_solve_policy(network, self.full_policy)
         self.session = ReconfigurationSession(network, self.full_policy)
         self.fingerprint = network_fingerprint(network)
-        self.canon = Canonicalizer(network)
+        self.canon = Canonicalizer()
         self.mailbox = Mailbox(config.max_pending)
         self.answer_published = PublishedState(
             self.session.pipeline, frozenset()
@@ -231,7 +230,7 @@ class ControlPlane:
         self,
         config: ControlPlaneConfig | None = None,
         *,
-        cache: WitnessCache | None = None,
+        cache: TieredWitnessCache | None = None,
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
     ) -> None:
@@ -250,25 +249,15 @@ class ControlPlane:
         self.tracer = tracer
         self.recorder = recorder
         if cache is None:
-            if self.config.store_path is not None:
-                # lazy import: tiering pulls in sqlite3-backed storage
-                # that pure in-memory planes never need
-                from .store import WitnessStore
-                from .tiering import TieredWitnessCache
-
-                cache = TieredWitnessCache(
-                    self.config.cache_capacity,
-                    WitnessStore(
-                        self.config.store_path,
-                        max_rows=self.config.store_max_rows,
-                    ),
-                )
-            else:
-                cache = WitnessCache(self.config.cache_capacity)
+            path = self.config.store_path
+            cache = TieredWitnessCache(
+                self.config.cache_capacity,
+                WitnessStore(path) if path is not None else None,
+            )
         self.cache = cache
         if self.recorder is not None:
-            store = getattr(cache, "persistent", None)
-            if store is not None and hasattr(store, "set_torn_row_callback"):
+            store = cache.persistent
+            if store is not None:
                 recorder_ref = self.recorder
 
                 def _on_torn(fingerprint: str, encoded_key: str) -> None:
@@ -307,7 +296,8 @@ class ControlPlane:
         persistent witness tier is attached, the newest stored rows for
         the network's structural fingerprint that survive live
         ``is_pipeline`` re-validation are batch-loaded into the in-memory
-        LRU (warm start)."""
+        LRU (warm start), once per fingerprint: a later replica of the
+        same build finds them already there."""
         if self._closed:
             raise ReproError("control plane is closed")
         if name in self._managed:
@@ -318,11 +308,10 @@ class ControlPlane:
             network = build(n, k)  # type: ignore[arg-type]
         managed = ManagedNetwork(name, network, policy, self.config)
         self.cache.warm_start(network, managed.fingerprint)
-        key, sigma = managed.canon.canonical(frozenset())
         self.cache.store(
             managed.fingerprint,
-            key,
-            Canonicalizer.map_forward(managed.session.pipeline.nodes, sigma),
+            managed.canon.canonical(frozenset()),
+            managed.session.pipeline.nodes,
         )
         with self._lock:
             if name in self._managed:
@@ -570,7 +559,7 @@ class ControlPlane:
             with self.tracer.span(
                 "canonicalize", parent=event.span, network=m.name
             ):
-                key, sigma = m.canon.canonical(target)
+                key = m.canon.canonical(target)
             with self.tracer.span(
                 "cache_lookup", parent=event.span, network=m.name
             ):
@@ -592,12 +581,7 @@ class ControlPlane:
                     with self.tracer.span(
                         "adopt", parent=event.span, network=m.name
                     ) as aspan:
-                        rec = self._apply(
-                            session,
-                            event.kind,
-                            node,
-                            Canonicalizer.map_back(cached, sigma),
-                        )
+                        rec = self._apply(session, event.kind, node, cached)
                         adopted = rec.adopted
                         aspan.set(adopted=adopted)
                 else:
@@ -641,11 +625,7 @@ class ControlPlane:
                     "cache_store", parent=event.span, network=m.name
                 ):
                     self.cache.store(
-                        m.fingerprint,
-                        key,
-                        Canonicalizer.map_forward(
-                            session.pipeline.nodes, sigma
-                        ),
+                        m.fingerprint, key, session.pipeline.nodes
                     )
 
         # one atomic publication: pipeline, fault set and churn totals are
@@ -754,14 +734,13 @@ class ControlPlane:
         with self._lock:
             records = tuple(self._records)
             latency = self._latency
-        store_stats = getattr(self.cache, "store_stats", None)
         return MetricsSnapshot(
             networks=tuple(networks),
             cache=self.cache.stats(),
             totals=totals,
             latency=latency,
             records=records,
-            store=store_stats() if store_stats is not None else None,
+            store=self.cache.store_stats(),
             anomalies=(
                 self.recorder.anomalies() if self.recorder is not None else None
             ),

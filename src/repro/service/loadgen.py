@@ -26,10 +26,10 @@ the restart scenario the tiered store exists for.  The
 ``BENCH_service.json`` payload records, per phase, p50/p95/p99 query and
 solve latency, shed rate, degraded- and stale-answer rates, witness
 cache hit rate, and the persistent-tier counters (``warm_loaded``,
-``persist_hits``, ``validation_failures``).  Every latency figure,
-``phases`` included, is a :class:`~repro.obs.quantiles.LatencyHistogram`
-summary: a percentile reads at most 1/16 above the exact sample
-quantile, which is what the smoke gate below compares.
+``validation_failures``).  Every latency figure, ``phases`` included,
+is a :class:`~repro.obs.quantiles.LatencyHistogram` summary: a
+percentile reads at most 1/16 above the exact sample quantile, which is
+what the smoke gate below compares.
 
 The CI smoke gate (:func:`service_smoke_regressions`) fails on any
 ``validation_failures``, on a warm phase that loaded nothing from the
@@ -56,7 +56,8 @@ from .control import ControlPlane, ControlPlaneConfig
 from .trace import TraceEvent, demo_ring_network, random_trace
 
 #: (name, registration) rows for the bench fleets; replicas of one build
-#: share structural cache rows, the ring exercises symmetric sharing.
+#: share structural cache rows, and the ring adds a circulant that is not
+#: a factory build.
 _FULL_FLEET = (
     ("video-a", dict(n=9, k=2)),
     ("video-b", dict(n=9, k=2)),
@@ -242,7 +243,6 @@ def _phase_row(
         "cache_hit_rate": cache.hit_rate,
         "store_rows": store.rows if store else 0,
         "warm_loaded": store.warm_loaded if store else 0,
-        "persist_hits": store.persist_hits if store else 0,
         "write_behind_depth": store.write_behind_depth if store else 0,
         "validation_failures": store.validation_failures if store else 0,
         "torn_rows": store.torn_rows if store else 0,

@@ -138,8 +138,6 @@ class MetricsSnapshot:
                 else {
                     "path": self.store.path,
                     "rows": self.store.rows,
-                    "persist_hits": self.store.persist_hits,
-                    "persist_misses": self.store.persist_misses,
                     "warm_loaded": self.store.warm_loaded,
                     "writes": self.store.writes,
                     "write_errors": self.store.write_errors,
@@ -147,8 +145,6 @@ class MetricsSnapshot:
                     "validation_failures": self.store.validation_failures,
                     "torn_rows": self.store.torn_rows,
                     "encode_skips": self.store.encode_skips,
-                    "invalidated": self.store.invalidated,
-                    "hit_rate": self.store.hit_rate,
                 }
             ),
             "totals": dict(self.totals),
@@ -193,7 +189,6 @@ class MetricsSnapshot:
             lines.insert(
                 3,
                 f"  witness store: {s.rows} rows at {s.path}, "
-                f"{s.persist_hits} hits / {s.persist_misses} misses, "
                 f"{s.warm_loaded} warm-loaded, {s.writes} written "
                 f"(depth {s.write_behind_depth}), "
                 f"{s.validation_failures} validation failures, "

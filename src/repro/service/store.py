@@ -1,22 +1,23 @@
 """The persistent witness tier: a SQLite-backed store of solved pipelines.
 
-The in-memory :class:`~repro.service.cache.WitnessCache` dies with the
-process, so every control-plane start would be cold and re-solve fault
-sets an earlier run already paid for.  :class:`WitnessStore` is the
-durable tier underneath it: one SQLite database (WAL mode, so another
-plane opening the same file can read while this one writes) keyed by
-``(structural fingerprint, canonical fault key)`` — the same row identity
+The in-memory LRU of :class:`~repro.service.tiering.TieredWitnessCache`
+dies with the process, so every control-plane start would be cold and
+re-solve fault sets an earlier run already paid for.  :class:`WitnessStore`
+is the durable tier underneath it: one SQLite database (WAL mode, so
+another plane opening the same file can read while this one writes)
+keyed by ``(structural fingerprint, fault key)`` — the same row identity
 the memory tier uses, so a witness solved once for a structural
-fingerprint is available fleet-wide, forever.
+fingerprint is available fleet-wide, forever.  The cache writes rows
+behind its solves and reads them back only at warm start.
 
 Rows are serialized with the deterministic, round-trip-verified text
 forms from :mod:`repro.service.canonical` (``encode_fault_key`` /
 ``encode_nodes``).  **Persisted bytes are never trusted**: this module
 only decodes and hands rows up; every row is checked against
 :func:`~repro.core.pipeline.is_pipeline` before anything is served (at
-warm start by :mod:`repro.service.tiering`, on a cache-aside read by the
-session that adopts it), and a row that fails is counted and deleted
-through :meth:`WitnessStore.note_validation_failure`.  A row that fails
+warm start by :mod:`repro.service.tiering`, and again by the session
+that adopts it), and a row that fails is counted and deleted through
+:meth:`WitnessStore.note_validation_failure`.  A row that fails
 to *decode* (torn write, truncated text, wrong type, an unhashable
 label) is treated identically: counted, deleted, reported as absent.
 
@@ -26,7 +27,8 @@ opens, serves and takes writes, and the column is never read.
 
 Thread safety: one connection guarded by one lock (the connection is
 created with ``check_same_thread=False`` because the write-behind writer
-thread commits batches while readers run on control-plane workers).
+thread commits batches while warm start reads on the registering
+thread).
 Durability: WAL with ``synchronous=NORMAL`` — a crash can lose the last
 write-behind batch (witnesses are re-derivable), but SQLite guarantees
 the database itself is never torn mid-transaction.
@@ -77,14 +79,11 @@ class StoreStats:
 
     path: str
     rows: int
-    persist_hits: int
-    persist_misses: int
     warm_loaded: int
     writes: int
     write_errors: int
     validation_failures: int
     encode_skips: int
-    invalidated: int
     #: write-behind queue depth at snapshot time (0 when no writer or idle).
     write_behind_depth: int = 0
     #: rows whose persisted text failed to *decode* (torn/truncated write).
@@ -92,14 +91,9 @@ class StoreStats:
     #: means the durability story failed, not just a stale witness.
     torn_rows: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.persist_hits + self.persist_misses
-        return self.persist_hits / total if total else 0.0
-
 
 class WitnessStore:
-    """Durable ``(fingerprint, canonical fault key) -> pipeline`` rows.
+    """Durable ``(fingerprint, fault key) -> pipeline`` rows.
 
     >>> store = WitnessStore(":memory:")
     >>> store.put("net", ("'p1'",), ("i0", "p0", "o0"))
@@ -111,17 +105,8 @@ class WitnessStore:
     >>> store.close()
     """
 
-    def __init__(
-        self,
-        path: str,
-        *,
-        max_rows: int | None = None,
-        timeout: float = 30.0,
-    ) -> None:
-        if max_rows is not None and max_rows < 1:
-            raise ReproError("store max_rows must be >= 1")
+    def __init__(self, path: str, *, timeout: float = 30.0) -> None:
         self.path = path
-        self.max_rows = max_rows
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(
             path, timeout=timeout, check_same_thread=False
@@ -131,15 +116,12 @@ class WitnessStore:
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
         self._closed = False
-        self._persist_hits = 0
-        self._persist_misses = 0
         self._warm_loaded = 0
         self._writes = 0
         self._write_errors = 0
         self._validation_failures = 0
         self._torn_rows = 0
         self._encode_skips = 0
-        self._invalidated = 0
         self._on_torn_row = None
 
     # ------------------------------------------------------------------
@@ -164,7 +146,6 @@ class WitnessStore:
                 )
                 found = cur.fetchone()
                 if found is None:
-                    self._persist_misses += 1
                     return None
                 try:
                     nodes = decode_nodes(found[0])
@@ -172,10 +153,8 @@ class WitnessStore:
                     torn = True
                     self._validation_failures += 1
                     self._torn_rows += 1
-                    self._persist_misses += 1
                     self._delete_locked(fingerprint, encoded)
                     return None
-                self._persist_hits += 1
                 return StoreRow(fingerprint, key, nodes)
         finally:
             if torn:
@@ -272,12 +251,10 @@ class WitnessStore:
                 self._write_errors += 1
                 return 0
             self._writes += len(encoded)
-            if self.max_rows is not None:
-                self._invalidated += self._compact_locked(self.max_rows)
             return len(encoded)
 
     # ------------------------------------------------------------------
-    # invalidation / compaction
+    # invalidation
     # ------------------------------------------------------------------
     def note_validation_failure(self, fingerprint: str, key: FaultKey) -> None:
         """Record that a persisted row failed live ``is_pipeline``
@@ -305,48 +282,6 @@ class WitnessStore:
         callback = self._on_torn_row
         if callback is not None:
             callback(fingerprint, encoded_key)
-
-    def delete(self, fingerprint: str, key: FaultKey) -> None:
-        with self._lock:
-            self._ensure_open()
-            self._delete_locked(fingerprint, encode_fault_key(key))
-
-    def invalidate_fingerprint(self, fingerprint: str) -> int:
-        """Drop every row for *fingerprint* (e.g. the structure changed);
-        returns the number of rows removed."""
-        with self._lock:
-            self._ensure_open()
-            cur = self._conn.execute(
-                "DELETE FROM witness WHERE fingerprint = ?", (fingerprint,)
-            )
-            self._conn.commit()
-            self._invalidated += cur.rowcount
-            return cur.rowcount
-
-    def compact(self, max_rows: int | None = None) -> int:
-        """Trim the store to *max_rows* (default: the configured bound),
-        dropping the oldest-written rows first; returns rows removed."""
-        bound = self.max_rows if max_rows is None else max_rows
-        if bound is None:
-            return 0
-        if bound < 1:
-            raise ReproError("compact bound must be >= 1")
-        with self._lock:
-            self._ensure_open()
-            removed = self._compact_locked(bound)
-            self._invalidated += removed
-            return removed
-
-    def _compact_locked(self, bound: int) -> int:
-        # counter updates stay in the callers' ``with self._lock`` blocks
-        cur = self._conn.execute(
-            "DELETE FROM witness WHERE rowid IN ("
-            " SELECT rowid FROM witness ORDER BY rowid DESC"
-            " LIMIT -1 OFFSET ?)",
-            (bound,),
-        )
-        self._conn.commit()
-        return cur.rowcount
 
     def _delete_locked(self, fingerprint: str, encoded_key: str) -> None:
         self._conn.execute(
@@ -392,14 +327,11 @@ class WitnessStore:
             return StoreStats(
                 path=self.path,
                 rows=rows,
-                persist_hits=self._persist_hits,
-                persist_misses=self._persist_misses,
                 warm_loaded=self._warm_loaded,
                 writes=self._writes,
                 write_errors=self._write_errors,
                 validation_failures=self._validation_failures,
                 encode_skips=self._encode_skips,
-                invalidated=self._invalidated,
                 write_behind_depth=write_behind_depth,
                 torn_rows=self._torn_rows,
             )

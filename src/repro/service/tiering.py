@@ -1,33 +1,38 @@
-"""Tiering: the in-memory witness cache backed by the persistent store.
+"""The witness cache: an in-memory LRU with an optional persistent store.
 
-:class:`TieredWitnessCache` composes the two tiers behind the exact
-:class:`~repro.service.cache.WitnessCache` interface the control plane
-already speaks:
+:class:`TieredWitnessCache` is the control plane's one witness cache.
+Without a :class:`~repro.service.store.WitnessStore` it is a plain
+thread-safe LRU; with one it adds two things:
 
 * **Write-behind** (``store``): a validated witness lands in the memory
   LRU immediately and is queued for the :class:`WriteBehindWriter` — a
   single bounded background thread that batches rows into one SQLite
-  transaction each.  Solve latency never waits on disk.  If the queue is
-  full (or the writer is gone) the row is written synchronously instead
-  of being dropped: the persistent tier is the fleet's shared memory and
-  silently losing witnesses would defeat it.
-* **Cache-aside** (``lookup_validated``): a memory miss falls through to
-  the store, and a disk row is seeded back into the memory LRU.  Like
-  every cached row it is a candidate only: the session checks it with
-  ``is_pipeline`` before adopting it (never trust persisted bytes).
-* **Warm-start** (``warm_start``): on ``ControlPlane.register`` the
+  transaction each.  Solve latency never waits on disk (encoding a row
+  round-trip checks its labels, which costs about as much as the solve
+  it follows).  If the queue is full (or the writer is gone) the row is
+  written synchronously instead of being dropped: the persistent tier
+  is the fleet's shared memory and silently losing witnesses would
+  defeat it.
+* **Warm start** (``warm_start``): on ``ControlPlane.register`` the
   newest persisted rows for the network's structural fingerprint, up to
   the memory tier's capacity, are decoded, re-validated against the
   *live* network with ``is_pipeline``, and only then loaded into the
-  memory LRU.  Rows that fail to decode or validate are counted
-  (``validation_failures``) and deleted.
+  memory LRU.  Each fingerprint is read once per cache, so replicas of
+  one build share a single load.  Rows that fail to decode or validate
+  are counted (``validation_failures``) and deleted.
 
-Lock discipline: :class:`WriteBehindWriter` owns a ``threading.Lock``
-guarding its queue/depth/closed state (all mutations happen inside
+Lookups read memory only, and a miss is solved.  A solve re-embeds in
+the verifier's bit space in about 0.3 ms, less than decoding a stored
+row and adopting it, so the store is read at warm start and never on
+the event path.  Every row a lookup returns is a candidate: the session
+checks it with ``is_pipeline`` before adopting it.
+
+Lock discipline: the LRU, the writer and the store each own one
+``threading.Lock`` guarding their own state (all mutations happen inside
 ``with self._lock`` — the RL1xx static pass checks this, no
-suppressions); the SQLite connection is guarded by the store's own lock.
-The two locks are never held simultaneously (batches are popped under
-the writer lock, then written after it is released), so no lock-order
+suppressions).  No two are ever held at once: the cache releases its
+lock before it calls the writer or the store, and the writer pops a
+batch under its lock and writes it after releasing it, so no lock-order
 edge exists between them.
 """
 
@@ -35,20 +40,27 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Hashable
+from collections import OrderedDict, deque
+from typing import Hashable, Iterable
 
 from ..core.pipeline import is_pipeline
-from ..errors import ReproError
 from ..obs.spans import annotate
-from .cache import WitnessCache
+from .cache import CacheStats
 from .canonical import FaultKey, decode_fault_set, label_map
 from .store import StoreStats, WitnessStore
 
 Node = Hashable
 
-#: one queued write: (fingerprint, fault key, canonical nodes)
+CacheRow = tuple[str, FaultKey]
+
+#: one queued write: (fingerprint, fault key, pipeline nodes)
 PendingWrite = tuple[str, FaultKey, tuple[Node, ...]]
+
+#: rows the writer queues before ``submit`` refuses (the caller then
+#: writes synchronously)
+WRITE_BEHIND_DEPTH = 256
+#: rows committed per SQLite transaction
+WRITE_BEHIND_BATCH = 64
 
 
 class WriteBehindWriter:
@@ -64,18 +76,8 @@ class WriteBehindWriter:
     >>> writer.close()
     """
 
-    def __init__(
-        self,
-        store: WitnessStore,
-        *,
-        max_depth: int = 256,
-        batch: int = 64,
-    ) -> None:
-        if max_depth < 1 or batch < 1:
-            raise ReproError("writer max_depth and batch must be >= 1")
+    def __init__(self, store: WitnessStore) -> None:
         self.store = store
-        self.max_depth = max_depth
-        self.batch = batch
         self._lock = threading.Lock()
         self._wake = threading.Event()
         self._queue: deque[PendingWrite] = deque()
@@ -88,9 +90,10 @@ class WriteBehindWriter:
 
     def submit(self, row: PendingWrite) -> bool:
         """Queue one row; ``False`` when the writer is closed or the
-        queue is at ``max_depth`` (caller should write synchronously)."""
+        queue holds :data:`WRITE_BEHIND_DEPTH` rows (caller should write
+        synchronously)."""
         with self._lock:
-            if self._closed or len(self._queue) >= self.max_depth:
+            if self._closed or len(self._queue) >= WRITE_BEHIND_DEPTH:
                 return False
             self._queue.append(row)
             self._wake.set()
@@ -124,7 +127,7 @@ class WriteBehindWriter:
         while True:
             self._wake.wait(0.1)
             with self._lock:
-                take = min(self.batch, len(self._queue))
+                take = min(WRITE_BEHIND_BATCH, len(self._queue))
                 batch = [self._queue.popleft() for _ in range(take)]
                 self._inflight = len(batch)
                 if not batch:
@@ -139,97 +142,129 @@ class WriteBehindWriter:
                     self._inflight = 0
 
 
-class TieredWitnessCache(WitnessCache):
-    """The in-memory LRU with the persistent tier behind it.
+class TieredWitnessCache:
+    """Thread-safe LRU map ``(fingerprint, fault key) -> pipeline nodes``,
+    optionally backed by a persistent store.
 
-    Drop-in for :class:`WitnessCache`; ``persistent=None`` degrades to
-    the plain memory cache.
+    >>> cache = TieredWitnessCache(capacity=2)
+    >>> cache.store("net", ("'p1'",), ("i0", "p0", "o0"))
+    >>> cache.lookup_validated("net", ("'p1'",))
+    ('i0', 'p0', 'o0')
+    >>> cache.lookup_validated("net", ("'p2'",)) is None
+    True
+    >>> cache.stats().hits, cache.stats().misses
+    (1, 1)
     """
 
     def __init__(
-        self,
-        capacity: int = 256,
-        persistent: WitnessStore | None = None,
-        *,
-        write_behind: bool = True,
-        write_behind_depth: int = 256,
-        write_behind_batch: int = 64,
+        self, capacity: int = 256, persistent: WitnessStore | None = None
     ) -> None:
-        super().__init__(capacity)
+        if capacity < 1:
+            raise ValueError("cache capacity must be >= 1")
+        self.capacity = capacity
         self.persistent = persistent
-        self._writer: WriteBehindWriter | None = None
-        if persistent is not None and write_behind:
-            self._writer = WriteBehindWriter(
-                persistent,
-                max_depth=write_behind_depth,
-                batch=write_behind_batch,
-            )
+        self._writer = (
+            WriteBehindWriter(persistent) if persistent is not None else None
+        )
+        self._rows: OrderedDict[CacheRow, tuple[Node, ...]] = OrderedDict()
+        self._warmed: set[str] = set()
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+        self._stores = 0
+        self._evictions = 0
+        self._invalid = 0
 
-    # ------------------------------------------------------------------
-    # reads: cache-aside
-    # ------------------------------------------------------------------
-    def lookup_validated(self, fingerprint: str, key: FaultKey):
-        nodes = super().lookup_validated(fingerprint, key)
-        if nodes is not None or self.persistent is None:
-            return nodes
-        row = self.persistent.get(fingerprint, key)
-        if row is None:
-            annotate(tier="disk", result="miss")
-            return None
-        WitnessCache.store(self, fingerprint, key, row.nodes)
-        annotate(tier="disk", result="hit")
-        return row.nodes
+    def lookup_validated(
+        self, fingerprint: str, key: FaultKey
+    ) -> tuple[Node, ...] | None:
+        """The cached pipeline for a row, or ``None``.
 
-    # ------------------------------------------------------------------
-    # writes: write-behind
-    # ------------------------------------------------------------------
-    def store(self, fingerprint: str, key: FaultKey, nodes) -> None:
-        super().store(fingerprint, key, nodes)
-        if self.persistent is None:
-            return
+        Reads memory only.  A hit refreshes the row's recency.  The nodes
+        are a candidate the caller still validates (the session checks
+        every adopted row), and one that fails is dropped with
+        :meth:`invalidate`.
+        """
+        row = (fingerprint, key)
+        with self._lock:
+            nodes = self._rows.get(row)
+            if nodes is None:
+                self._misses += 1
+            else:
+                self._rows.move_to_end(row)
+                self._hits += 1
+        # annotate outside the lock: the active-span stack is thread-local
+        annotate(result="miss" if nodes is None else "hit")
+        return nodes
+
+    def store(
+        self, fingerprint: str, key: FaultKey, nodes: Iterable[Node]
+    ) -> None:
+        """Insert (or refresh) a row, evicting the least recently used,
+        and queue it for the persistent store."""
         row: PendingWrite = (fingerprint, key, tuple(nodes))
-        if self._writer is not None and self._writer.submit(row):
-            return
-        if not self.persistent.closed:
-            self.persistent.put(*row)
+        self._remember([row])
+        if self._writer is not None and not self._writer.submit(row):
+            # the queue is full or the writer is gone: write through
+            # rather than drop the row
+            if not self.persistent.closed:
+                self.persistent.put(*row)
 
     def invalidate(self, fingerprint: str, key: FaultKey) -> None:
-        super().invalidate(fingerprint, key)
+        """Record that a served row failed live validation and drop it
+        from memory and the store, so a bad entry cannot keep being
+        served and re-failing."""
+        with self._lock:
+            self._invalid += 1
+            self._rows.pop((fingerprint, key), None)
         if self.persistent is not None and not self.persistent.closed:
             self.persistent.note_validation_failure(fingerprint, key)
 
-    # ------------------------------------------------------------------
-    # warm-start
-    # ------------------------------------------------------------------
-    def warm_start(self, network, fingerprint: str, *, limit=None) -> int:
+    def warm_start(self, network, fingerprint: str) -> int:
         """Load the newest persisted rows for *fingerprint* that survive
         live ``is_pipeline`` validation into the memory LRU; returns the
-        number loaded.  At most *limit* rows are read (default: the
-        memory tier's capacity, since older rows would be evicted as
-        they load).  Invalid/undecodable rows are counted and deleted,
+        number loaded.
+
+        A fingerprint is read at most once per cache: a later call for
+        the same structure (another replica) loads nothing.  At most
+        ``capacity`` rows are read, since older rows would be evicted as
+        they load.  Invalid/undecodable rows are counted and deleted,
         never served."""
         if self.persistent is None:
             return 0
+        with self._lock:
+            if fingerprint in self._warmed:
+                return 0
+            self._warmed.add(fingerprint)
         labels = label_map(network)
-        loaded = 0
-        rows = self.persistent.iter_fingerprint(
-            fingerprint, self.capacity if limit is None else limit
-        )
+        valid: list[PendingWrite] = []
+        rows = self.persistent.iter_fingerprint(fingerprint, self.capacity)
         for row in reversed(rows):  # oldest first, so newest end up MRU
             faults = decode_fault_set(row.key, labels)
             if faults is None or not is_pipeline(network, row.nodes, faults):
                 self.persistent.note_validation_failure(fingerprint, row.key)
                 continue
-            WitnessCache.store(self, fingerprint, row.key, row.nodes)
-            loaded += 1
-        if loaded:
-            self.persistent.note_warm_loaded(loaded)
-        return loaded
+            valid.append((fingerprint, row.key, row.nodes))
+        self._remember(valid)
+        if valid:
+            self.persistent.note_warm_loaded(len(valid))
+        return len(valid)
+
+    def _remember(self, rows: list[PendingWrite]) -> None:
+        with self._lock:
+            for fingerprint, key, nodes in rows:
+                self._rows[(fingerprint, key)] = nodes
+                self._rows.move_to_end((fingerprint, key))
+                self._stores += 1
+            while len(self._rows) > self.capacity:
+                self._rows.popitem(last=False)
+                self._evictions += 1
 
     # ------------------------------------------------------------------
     # lifecycle / accounting
     # ------------------------------------------------------------------
     def flush(self, timeout: float = 30.0) -> None:
+        """Block until every queued store write is committed."""
         if self._writer is not None:
             self._writer.flush(timeout)
 
@@ -240,12 +275,20 @@ class TieredWitnessCache(WitnessCache):
         if self.persistent is not None:
             self.persistent.close()
 
-    def write_behind_depth(self) -> int:
-        return self._writer.depth() if self._writer is not None else 0
+    def stats(self) -> CacheStats:
+        with self._lock:
+            return CacheStats(
+                size=len(self._rows),
+                capacity=self.capacity,
+                hits=self._hits,
+                misses=self._misses,
+                stores=self._stores,
+                evictions=self._evictions,
+                invalid=self._invalid,
+            )
 
     def store_stats(self) -> StoreStats | None:
+        """The persistent store's accounting (``None`` without a store)."""
         if self.persistent is None:
             return None
-        return self.persistent.stats(
-            write_behind_depth=self.write_behind_depth()
-        )
+        return self.persistent.stats(write_behind_depth=self._writer.depth())

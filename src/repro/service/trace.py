@@ -14,8 +14,8 @@ where the same marginal hardware fails again and again.
 
 :func:`run_demo` is the ``python -m repro serve --demo`` payload: a
 five-network fleet (including a replica pair that shares witness-cache
-rows and a vertex-transitive circulant ring that exercises symmetric
-canonicalization) under a 100+-event trace.
+rows and a circulant ring that is not a factory build) under a
+100+-event trace.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ def demo_ring_network(m: int = 8, offsets: Iterable[int] = (1, 2)) -> PipelineNe
     Every circulant node ``c{j}`` is a processor carrying its own input
     terminal ``ti{j}`` and output terminal ``to{j}``, so every rotation
     and reflection of the ring extends to a kind-preserving automorphism
-    of the whole network — the setting where automorphism-aware witness
-    canonicalization collapses entire fault orbits onto single cache rows.
+    of the whole network.
     """
     if m < 6:
         raise ReproError("demo ring needs m >= 6")
@@ -207,7 +206,7 @@ def demo_plane(
 ) -> ControlPlane:
     """A five-network demo fleet: two ``G(9,2)`` replicas (structural
     witness sharing), ``G(13,2)`` and ``G(6,2)`` builds, and a circulant
-    ring (symmetric witness sharing)."""
+    ring."""
     plane = ControlPlane(
         ControlPlaneConfig(
             workers=workers,
@@ -229,8 +228,8 @@ def demo_plane(
 def warmup_trace(plane: ControlPlane) -> list[TraceEvent]:
     """A deterministic prefix guaranteeing witness-cache traffic: the same
     fault pattern solved on one replica and replayed on its sibling, a
-    repeat of an already-seen fault set, and a symmetric fault pair on the
-    circulant ring."""
+    repeat of an already-seen fault set, and a fault and repair on the
+    circulant ring (the repair hits the fault-free row)."""
     events = [
         TraceEvent("video-a", "fault", "p3"),
         TraceEvent("video-b", "fault", "p3"),   # structural replica hit
@@ -243,9 +242,7 @@ def warmup_trace(plane: ControlPlane) -> list[TraceEvent]:
     if "ring" in plane.names:
         events += [
             TraceEvent("ring", "fault", "c1"),
-            TraceEvent("ring", "repair", "c1"),
-            TraceEvent("ring", "fault", "c5"),  # symmetric-orbit hit
-            TraceEvent("ring", "repair", "c5"),
+            TraceEvent("ring", "repair", "c1"),  # fault-free row hit
         ]
     return events
 

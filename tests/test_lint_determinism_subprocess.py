@@ -30,16 +30,15 @@ PROBE = textwrap.dedent(
     out = {}
     for n, k in [(6, 2), (9, 2)]:
         net = build(n, k)
-        canon = Canonicalizer(net)
+        canon = Canonicalizer()
         # pick the faults by sorted label so both seeds probe the same
         # nodes; keep the *input* a genuine set
         faults = set(sorted(net.processors, key=repr)[:2])
-        key, _ = canon.canonical(faults)
+        key = canon.canonical(faults)
         out[f"{n}x{k}"] = {
             "fingerprint": network_fingerprint(net),
             "canonical_key": list(key),
             "plain_key": list(plain_fault_key(faults)),
-            "order_seen": canon.order_seen,
         }
     print(json.dumps(out, sort_keys=True))
     """

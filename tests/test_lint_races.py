@@ -239,7 +239,7 @@ class TestGuardModel:
         assert "ControlPlane" in guards
         assert "Mailbox" in guards
         assert "AtomicCounters" in guards
-        assert "WitnessCache" in guards
+        assert "TieredWitnessCache" in guards
         # the actor refactor made ManagedNetwork lockless: its state is
         # either mailbox-owned, drain-worker exclusive, or published
         # atomically — so the guard model must no longer list it

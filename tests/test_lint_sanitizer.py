@@ -145,5 +145,5 @@ class TestControlPlaneInstrumentation:
         assert "ControlPlane._lock" in labels
         assert "Mailbox._lock" in labels
         assert "AtomicCounters._lock" in labels
-        assert "WitnessCache._lock" in labels
+        assert "TieredWitnessCache._lock" in labels
         assert "factory._BUILD_CACHE_LOCK" in labels

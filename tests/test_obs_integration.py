@@ -109,7 +109,7 @@ class TestValidationFailureDump:
         with ControlPlane(traced_config()) as plane:
             plane.register("edge-a", n=6, k=2)
             m = plane.managed("edge-a")
-            key, _ = m.canon.canonical({"p1"})
+            key = m.canon.canonical({"p1"})
             # a garbage row too short to be a pipeline: the session's
             # validation must reject it and raise the anomaly
             plane.cache.store(m.fingerprint, key, ("i0", "o0"))

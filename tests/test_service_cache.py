@@ -1,6 +1,6 @@
-"""Witness cache and canonicalization: LRU accounting, structural
-(replica) sharing, automorphism-aware symmetric sharing, and the one
-validation every cached row gets before it is served."""
+"""Witness cache and fault keys: LRU accounting, structural (replica)
+sharing, plain label keys, and the one validation every cached row gets
+before it is served."""
 
 import pytest
 
@@ -10,11 +10,12 @@ import repro.service.control
 from repro.core.constructions import build
 from repro.core.pipeline import is_pipeline
 from repro.errors import ReconfigurationError
+from repro.service.canonical import decode_fault_set, label_map
 from repro.service import (
     Canonicalizer,
     ControlPlane,
     ControlPlaneConfig,
-    WitnessCache,
+    TieredWitnessCache,
     demo_ring_network,
     network_fingerprint,
     plain_fault_key,
@@ -23,7 +24,7 @@ from repro.service import (
 
 class TestWitnessCacheUnit:
     def test_lookup_miss_then_hit(self):
-        cache = WitnessCache(capacity=4)
+        cache = TieredWitnessCache(capacity=4)
         assert cache.lookup_validated("fp", ("'p1'",)) is None
         cache.store("fp", ("'p1'",), ("i0", "p0", "o0"))
         assert cache.lookup_validated("fp", ("'p1'",)) == ("i0", "p0", "o0")
@@ -31,12 +32,12 @@ class TestWitnessCacheUnit:
         assert stats.hits == 1 and stats.misses == 1 and stats.stores == 1
 
     def test_rows_are_fingerprint_scoped(self):
-        cache = WitnessCache(capacity=4)
+        cache = TieredWitnessCache(capacity=4)
         cache.store("fp-a", ("'p1'",), ("a",))
         assert cache.lookup_validated("fp-b", ("'p1'",)) is None
 
     def test_lru_eviction(self):
-        cache = WitnessCache(capacity=2)
+        cache = TieredWitnessCache(capacity=2)
         cache.store("fp", ("'a'",), ("1",))
         cache.store("fp", ("'b'",), ("2",))
         # refresh 'a', so storing 'c' evicts 'b'
@@ -46,14 +47,14 @@ class TestWitnessCacheUnit:
         assert cache.lookup_validated("fp", ("'b'",)) is None
         assert cache.lookup_validated("fp", ("'a'",)) is not None
         assert cache.lookup_validated("fp", ("'c'",)) is not None
-        assert len(cache) == 2
+        assert cache.stats().size == 2
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            WitnessCache(capacity=0)
+            TieredWitnessCache(capacity=0)
 
     def test_hit_rate(self):
-        cache = WitnessCache()
+        cache = TieredWitnessCache()
         assert cache.stats().hit_rate == 0.0
         cache.store("fp", (), ("x",))
         cache.lookup_validated("fp", ())
@@ -93,21 +94,21 @@ class TestOneValidation:
             assert plane.snapshot().cache.invalid == 0
 
     def test_disk_hit_validates_once(self, monkeypatch, tmp_path):
-        """Plane B reads the row plane A solved from the shared store: a
-        cache-aside hit, validated once."""
+        """Plane B warm-starts the row plane A solved and flushed to the
+        shared store, then adopts it with one session check."""
         calls = count_validations(monkeypatch)
         config = ControlPlaneConfig(
             workers=1, store_path=str(tmp_path / "w.db")
         )
         with ControlPlane(config) as a, ControlPlane(config) as b:
             a.register("a", n=9, k=2)
-            b.register("b", n=9, k=2)
             a.submit_fault("a", "p1").result(timeout=30)
             a.cache.flush()
+            b.register("b", n=9, k=2)
+            assert b.snapshot().store.warm_loaded == 2  # {} and {p1}
             del calls[:]
             record = b.submit_fault("b", "p1").result(timeout=30)
             assert record.cache_hit
-            assert b.cache.store_stats().persist_hits == 1
             assert len(calls) == 1
 
 
@@ -115,15 +116,14 @@ class TestUntrustedRows:
     """A cached row the session rejects costs a solve, never the event."""
 
     def test_foreign_labels_are_solved_as_a_miss(self):
-        """Labels that are not nodes have no preimage under the symmetry
-        that maps the row back; the session rejects them (a too-short
-        row is covered by ``test_poisoned_cache_row_dumps``)."""
+        """A row of labels that are not nodes of the network is rejected
+        by the session (a too-short row is covered by
+        ``test_poisoned_cache_row_dumps``)."""
         net = demo_ring_network(8)
         with ControlPlane(ControlPlaneConfig(workers=1)) as plane:
             plane.register("ring", net)
             m = plane.managed("ring")
-            key, sigma = m.canon.canonical({"c1"})
-            assert sigma is not None  # mapping back needs the inverse
+            key = m.canon.canonical({"c1"})
             plane.cache.store(
                 m.fingerprint, key, ("bogus-a", "bogus-b", "bogus-c")
             )
@@ -136,9 +136,7 @@ class TestUntrustedRows:
             assert snap.cache.invalid == 1
             # the fresh pipeline replaced the bad row under the same key
             fresh = plane.cache.lookup_validated(m.fingerprint, key)
-            assert is_pipeline(
-                net, Canonicalizer.map_back(fresh, sigma), {"c1"}
-            )
+            assert is_pipeline(net, fresh, {"c1"})
 
     def test_rejected_row_is_dropped_when_the_solve_fails(self):
         """{p0, p1, p3} is beyond what G(6,2) tolerates: the row is
@@ -148,7 +146,7 @@ class TestUntrustedRows:
             m = plane.managed("frail")
             plane.submit_fault("frail", "p0").result(timeout=30)
             plane.submit_fault("frail", "p1").result(timeout=30)
-            key, _ = m.canon.canonical({"p0", "p1", "p3"})
+            key = m.canon.canonical({"p0", "p1", "p3"})
             plane.cache.store(m.fingerprint, key, ("i0", "p3", "o0"))
             with pytest.raises(ReconfigurationError):
                 plane.submit_fault("frail", "p3").result(timeout=30)
@@ -169,29 +167,20 @@ class TestCanonicalizer:
         assert plain_fault_key(["p3", "p1"]) == ("'p1'", "'p3'")
 
     def test_symmetry_off_is_identity(self):
-        ring = demo_ring_network(8)
-        canon = Canonicalizer(ring, mode="off")
-        key, sigma = canon.canonical({"c5"})
-        assert key == ("'c5'",) and sigma is None
-        assert canon.order_seen == 0
-
-    def test_ring_orbit_collapses(self):
-        ring = demo_ring_network(8)
-        canon = Canonicalizer(ring, mode="auto")
-        assert canon.order_seen > 0
-        keys = {canon.canonical({f"c{j}"})[0] for j in range(8)}
-        assert len(keys) == 1  # all single-node circulant faults: one orbit
+        """Each fault set keys by its own labels, so the eight single
+        faults of a vertex-transitive ring keep eight rows."""
+        canon = Canonicalizer()
+        assert canon.canonical({"c5"}) == ("'c5'",)
+        keys = {canon.canonical({f"c{j}"}) for j in range(8)}
+        assert len(keys) == 8
 
     def test_map_back_round_trips(self):
+        """A key maps back to exactly its fault set on the live network,
+        which is how warm start reads a persisted row's key."""
         ring = demo_ring_network(8)
-        canon = Canonicalizer(ring, mode="auto")
-        key, sigma = canon.canonical({"c5"})
-        fwd = Canonicalizer.map_forward(("ti5", "c5", "to5"), sigma)
-        assert Canonicalizer.map_back(fwd, sigma) == ("ti5", "c5", "to5")
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Canonicalizer(build(6, 2), mode="banana")
+        faults = frozenset({"c5", "c1"})
+        key = Canonicalizer().canonical(faults)
+        assert decode_fault_set(key, label_map(ring)) == faults
 
 
 class TestCacheIntegration:
@@ -220,19 +209,6 @@ class TestCacheIntegration:
             assert mirrored.cache_hit and mirrored.solver == "cache"
             m = plane.managed("rep-b")
             assert is_pipeline(m.network, m.session.pipeline.nodes, {"p2"})
-
-    def test_symmetric_fault_hits_on_circulant(self):
-        """On a vertex-transitive circulant, a fault anywhere on the orbit
-        of an already-solved fault is served from the cache."""
-        with ControlPlane(ControlPlaneConfig(workers=2)) as plane:
-            plane.register("ring", demo_ring_network(8))
-            seeded = plane.submit_fault("ring", "c1").result(timeout=30)
-            assert not seeded.cache_hit
-            plane.submit_repair("ring", "c1").result(timeout=30)
-            rotated = plane.submit_fault("ring", "c5").result(timeout=30)
-            assert rotated.cache_hit and rotated.solver == "cache"
-            m = plane.managed("ring")
-            assert is_pipeline(m.network, m.session.pipeline.nodes, {"c5"})
 
     def test_lru_eviction_through_the_plane(self):
         """With a one-row cache every new fault set evicts the last."""

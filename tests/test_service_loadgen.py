@@ -23,7 +23,7 @@ ROW_KEYS = {
     "shed", "shed_rate", "errors", "degraded_served", "degraded_rate",
     "stale_served", "query_latency_s", "solve_latency_s", "cache_hits",
     "cache_misses", "cache_hit_rate", "store_rows",
-    "warm_loaded", "persist_hits", "write_behind_depth",
+    "warm_loaded", "write_behind_depth",
     "validation_failures",
 }
 

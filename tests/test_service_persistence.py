@@ -1,13 +1,23 @@
 """Control plane over the persistent witness tier: warm restarts, crash
 recovery, lifecycle, and graceful-degradation metadata."""
 
+import itertools
 import sqlite3
 
 import pytest
 
 from repro.core.pipeline import is_pipeline
+from repro.core.reconfigure import reconfigure
 from repro.errors import ReproError
-from repro.service import ControlPlane, ControlPlaneConfig
+from repro.graphs.automorphisms import iter_automorphisms
+from repro.service import (
+    ControlPlane,
+    ControlPlaneConfig,
+    WitnessStore,
+    demo_ring_network,
+    network_fingerprint,
+    plain_fault_key,
+)
 
 
 def store_config(tmp_path, **kw):
@@ -53,10 +63,116 @@ class TestWarmRestart:
             rec = plane.submit_fault("b", "p1").result(timeout=30)
             assert rec.solver == "cache"
 
+    def test_replicas_read_the_store_once(self, tmp_path, monkeypatch):
+        """Three replicas of one build on a filled store share a single
+        warm-start read of their fingerprint."""
+        config = store_config(tmp_path)
+        with ControlPlane(config) as plane:
+            plane.register("a", n=9, k=2)
+            plane.submit_fault("a", "p1").result(timeout=30)
+        reads = []
+        iter_fingerprint = WitnessStore.iter_fingerprint
+
+        def counting(self, fingerprint, limit=None):
+            reads.append(fingerprint)
+            return iter_fingerprint(self, fingerprint, limit)
+
+        monkeypatch.setattr(WitnessStore, "iter_fingerprint", counting)
+        with ControlPlane(config) as plane:
+            for name in ("r1", "r2", "r3"):
+                plane.register(name, n=9, k=2)
+            assert len(reads) == 1
+            assert plane.snapshot().store.warm_loaded == 2  # {} and {p1}
+            for name in ("r1", "r2", "r3"):
+                rec = plane.submit_fault(name, "p1").result(timeout=30)
+                assert rec.solver == "cache"
+
+    def test_events_never_read_the_store(self, tmp_path, monkeypatch):
+        """After warm start, a memory miss is solved: no event reads the
+        store, even for a fault set that is only on disk."""
+        config = store_config(tmp_path, cache_capacity=2)
+        with ControlPlane(config) as plane:
+            plane.register("a", n=6, k=2)
+            for node in ("p1", "p2", "p3"):
+                plane.submit_fault("a", node).result(timeout=30)
+                plane.submit_repair("a", node).result(timeout=30)
+        gets = []
+        monkeypatch.setattr(
+            WitnessStore, "get", lambda self, *row: gets.append(row)
+        )
+        with ControlPlane(config) as plane:
+            plane.register("a", n=6, k=2)
+            for node in ("p1", "p2", "p3", "p0"):
+                plane.submit_fault("a", node).result(timeout=30)
+                plane.submit_repair("a", node).result(timeout=30)
+            m = plane.managed("a")
+            assert is_pipeline(m.network, m.session.pipeline.nodes, set())
+            assert plane.snapshot().totals["cache_misses"] > 0
+        assert gets == []
+
     def test_memory_only_plane_unchanged(self):
         with ControlPlane() as plane:
             plane.register("a", n=6, k=2)
             assert plane.snapshot().store is None
+
+
+def automorphism_keyed_rows(network, fault_sets):
+    """Rows keyed the way automorphism-minimizing canonicalization wrote
+    them: the sorted labels of the image sigma(F) that minimize the key,
+    paired with a pipeline for F mapped through sigma."""
+    autos = list(iter_automorphisms(network))
+    rows = []
+    for faults in fault_sets:
+        key, sigma = plain_fault_key(faults), None
+        for auto in autos:
+            image = tuple(sorted(repr(auto[v]) for v in faults))
+            if image < key:
+                key, sigma = image, auto
+        nodes = reconfigure(network, faults).nodes
+        if sigma is not None:
+            nodes = tuple(sigma[v] for v in nodes)
+        rows.append((key, nodes))
+    return rows
+
+
+class TestSymmetryKeyedStore:
+    def test_rows_keyed_by_automorphism_images_still_serve(self, tmp_path):
+        """Such a row pairs the key of sigma(F) with a pipeline for
+        sigma(F), so a plain-key plane warm-starts it, serves it for the
+        fault set its key names, and solves every other set."""
+        ring = demo_ring_network(8)
+        procs = sorted(ring.processors)
+        fault_sets = [
+            frozenset(c)
+            for size in (1, 2)
+            for c in itertools.combinations(procs, size)
+        ]
+        config = store_config(tmp_path)
+        with WitnessStore(config.store_path) as store:
+            fingerprint = network_fingerprint(ring)
+            for key, nodes in automorphism_keyed_rows(ring, fault_sets):
+                store.put(fingerprint, key, nodes)
+        with ControlPlane(config) as plane:
+            plane.register("ring", ring)
+            assert plane.snapshot().store.warm_loaded > 0
+            # {c0} is its orbit's representative: its row came from disk
+            assert plane.submit_fault("ring", "c0").result(timeout=30).cache_hit
+            plane.submit_repair("ring", "c0").result(timeout=30)
+            for a, b in itertools.combinations(procs, 2):
+                for submit, node in (
+                    (plane.submit_fault, a),
+                    (plane.submit_fault, b),
+                    (plane.submit_repair, b),
+                    (plane.submit_repair, a),
+                ):
+                    submit("ring", node).result(timeout=30)
+                    answer = plane.query_pipeline("ring")
+                    assert is_pipeline(
+                        ring, answer.pipeline.nodes, answer.faults
+                    )
+            snap = plane.snapshot()
+            assert snap.store.validation_failures == 0
+            assert snap.cache.invalid == 0
 
 
 class TestCrashRecovery:

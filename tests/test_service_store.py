@@ -1,5 +1,5 @@
-"""Persistent witness store: round trips, torn-row recovery, compaction,
-invalidation and lifecycle."""
+"""Persistent witness store: round trips, torn-row recovery, invalidation
+and lifecycle."""
 
 import sqlite3
 
@@ -13,8 +13,8 @@ KEY2 = ("'p1'", "'p2'")
 NODES = ("i0", "p0", "p3", "o0")
 
 
-def make_store(tmp_path, **kw):
-    return WitnessStore(str(tmp_path / "witness.db"), **kw)
+def make_store(tmp_path):
+    return WitnessStore(str(tmp_path / "witness.db"))
 
 
 class TestRoundTrip:
@@ -86,10 +86,7 @@ class TestTornRows:
             self.corrupt(store)
             assert store.get("fp", KEY1) is None
             assert store.row_count() == 0  # deleted, not left to rot
-            stats = store.stats()
-            assert stats.validation_failures == 1
-            assert stats.persist_misses == 1
-            assert stats.persist_hits == 0
+            assert store.stats().validation_failures == 1
 
     def test_torn_nodes_on_iter(self, tmp_path):
         with make_store(tmp_path) as store:
@@ -167,36 +164,6 @@ class TestInvalidationAndCompaction:
             assert store.get("fp", KEY1) is None
             assert store.stats().validation_failures == 1
 
-    def test_invalidate_fingerprint(self, tmp_path):
-        with make_store(tmp_path) as store:
-            store.put("fp", KEY1, NODES)
-            store.put("fp", KEY2, NODES)
-            store.put("other", KEY1, NODES)
-            assert store.invalidate_fingerprint("fp") == 2
-            assert store.row_count() == 1
-            assert store.stats().invalidated == 2
-
-    def test_compact_drops_oldest(self, tmp_path):
-        with make_store(tmp_path) as store:
-            for i in range(6):
-                store.put("fp", (f"'p{i}'",), NODES)
-            assert store.compact(2) == 4
-            kept = {r.key for r in store.iter_fingerprint("fp")}
-            assert kept == {("'p4'",), ("'p5'",)}
-            with pytest.raises(ReproError):
-                store.compact(0)
-            assert store.compact() == 0  # no configured bound
-
-    def test_max_rows_enforced_on_write(self, tmp_path):
-        with make_store(tmp_path, max_rows=3) as store:
-            for i in range(5):
-                store.put("fp", (f"'p{i}'",), NODES)
-            assert store.row_count() == 3
-
-    def test_max_rows_validated(self, tmp_path):
-        with pytest.raises(ReproError):
-            make_store(tmp_path, max_rows=0)
-
 
 class TestLifecycle:
     def test_close_is_idempotent(self, tmp_path):
@@ -222,14 +189,10 @@ class TestLifecycle:
     def test_stats_shape(self, tmp_path):
         with make_store(tmp_path) as store:
             store.put("fp", KEY1, NODES)
-            store.get("fp", KEY1)
-            store.get("fp", KEY2)
             stats = store.stats(write_behind_depth=3)
             assert isinstance(stats, StoreStats)
             assert stats.rows == 1
-            assert stats.persist_hits == 1
-            assert stats.persist_misses == 1
-            assert stats.hit_rate == 0.5
+            assert stats.writes == 1
             assert stats.write_behind_depth == 3
         # after close: stats still readable, row count reported as 0
         assert store.stats().rows == 0

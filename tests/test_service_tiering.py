@@ -1,10 +1,12 @@
-"""Tiered witness cache: write-behind, cache-aside, warm start, and the
-background writer's lifecycle."""
+"""Tiered witness cache: write-behind, memory-only lookups, warm start,
+and the background writer's lifecycle."""
 
-import pytest
+import sys
+import threading
 
 from repro.core.constructions import build
-from repro.service.canonical import Canonicalizer, network_fingerprint
+from repro.core.reconfigure import reconfigure
+from repro.service.canonical import network_fingerprint, plain_fault_key
 from repro.service.store import WitnessStore
 from repro.service.tiering import TieredWitnessCache, WriteBehindWriter
 
@@ -40,15 +42,6 @@ class TestWriteBehindWriter:
         assert not writer.submit(("fp", ("'p9'",), NODES))
         store.close()
 
-    def test_bad_parameters(self, tmp_path):
-        from repro.errors import ReproError
-
-        with db(tmp_path) as store:
-            with pytest.raises(ReproError):
-                WriteBehindWriter(store, max_depth=0)
-            with pytest.raises(ReproError):
-                WriteBehindWriter(store, batch=0)
-
 
 class TestTieredCache:
     def test_store_lands_on_disk_via_writer(self, tmp_path):
@@ -61,33 +54,26 @@ class TestTieredCache:
             cache.close()
 
     def test_without_writer_writes_synchronously(self, tmp_path):
-        cache = TieredWitnessCache(8, db(tmp_path), write_behind=False)
+        """Once the writer refuses rows (closed, or its queue full), a
+        store writes through instead of dropping the row."""
+        cache = TieredWitnessCache(8, db(tmp_path))
         try:
+            cache._writer.close()
             cache.store("fp", KEY1, NODES)
             assert cache.persistent.get("fp", KEY1).nodes == NODES
         finally:
             cache.close()
 
-    def test_cache_aside_read_seeds_memory(self, tmp_path):
-        """A disk row is served on a memory miss and seeded into memory,
-        so the next read never touches the store."""
+    def test_lookup_reads_memory_only(self, tmp_path):
+        """A row that is only on disk is a miss: the store is read at
+        warm start, never by a lookup."""
         store = db(tmp_path)
         store.put("fp", KEY1, NODES)
         cache = TieredWitnessCache(8, store)
         try:
-            assert cache.lookup_validated("fp", KEY1) == NODES
-            assert cache.lookup_validated("fp", KEY1) == NODES
-            assert cache.stats().size == 1
-            assert store.stats().persist_hits == 1
-        finally:
-            cache.close()
-
-    def test_lookup_miss_both_tiers(self, tmp_path):
-        cache = TieredWitnessCache(8, db(tmp_path))
-        try:
             assert cache.lookup_validated("fp", KEY1) is None
             assert cache.stats().misses == 1
-            assert cache.persistent.stats().persist_misses == 1
+            assert cache.stats().size == 0
         finally:
             cache.close()
 
@@ -99,11 +85,12 @@ class TestTieredCache:
         cache.close()  # all no-ops, no error
 
     def test_invalidate_removes_from_both_tiers(self, tmp_path):
-        cache = TieredWitnessCache(8, db(tmp_path), write_behind=False)
+        cache = TieredWitnessCache(8, db(tmp_path))
         try:
             cache.store("fp", KEY1, NODES)
+            cache.flush()
             cache.invalidate("fp", KEY1)
-            assert WitnessCache_lookup_is_empty(cache)
+            assert cache.lookup_validated("fp", KEY1) is None
             assert cache.persistent.get("fp", KEY1) is None
             assert cache.persistent.stats().validation_failures == 1
         finally:
@@ -117,25 +104,15 @@ class TestTieredCache:
         assert cache.persistent.closed
 
 
-def WitnessCache_lookup_is_empty(cache):
-    from repro.service.cache import WitnessCache
-
-    return WitnessCache.lookup_validated(cache, "fp", KEY1) is None
-
-
 class TestWarmStart:
     def warm_rows(self, network):
-        """Persist the canonical witnesses for two single faults of a
-        live network, exactly as a previous process would have."""
-        canon = Canonicalizer(network)
+        """The witnesses for two single faults of a live network, keyed
+        exactly as a previous process would have persisted them."""
         fingerprint = network_fingerprint(network)
         rows = []
         for fault in ("p1", "p2"):
-            key, sigma = canon.canonical(frozenset({fault}))
-            from repro.core.reconfigure import reconfigure
-
             pipeline = reconfigure(network, {fault})
-            rows.append((key, Canonicalizer.map_forward(pipeline.nodes, sigma)))
+            rows.append((plain_fault_key({fault}), pipeline.nodes))
         return fingerprint, rows
 
     def test_valid_rows_load(self, tmp_path):
@@ -149,9 +126,7 @@ class TestWarmStart:
             assert cache.warm_start(network, fingerprint) == 2
             for key, nodes in rows:
                 assert cache.lookup_validated(fingerprint, key) == nodes
-            stats = cache.persistent.stats()
-            assert stats.warm_loaded == 2
-            assert stats.persist_hits == 0  # served from memory
+            assert cache.persistent.stats().warm_loaded == 2
         finally:
             cache.close()
 
@@ -177,7 +152,9 @@ class TestWarmStart:
         finally:
             cache.close()
 
-    def test_warm_start_respects_limit(self, tmp_path):
+    def test_warm_start_reads_a_fingerprint_once(self, tmp_path):
+        """A second warm start of the same structure (another replica)
+        loads nothing, so ``warm_loaded`` counts distinct rows."""
         network = build(6, 2)
         fingerprint, rows = self.warm_rows(network)
         store = db(tmp_path)
@@ -185,9 +162,42 @@ class TestWarmStart:
             store.put(fingerprint, key, nodes)
         cache = TieredWitnessCache(8, store)
         try:
-            assert cache.warm_start(network, fingerprint, limit=1) == 1
+            assert cache.warm_start(network, fingerprint) == 2
+            assert cache.warm_start(network, fingerprint) == 0
+            assert cache.persistent.stats().warm_loaded == 2
         finally:
             cache.close()
+
+    def test_concurrent_warm_starts_load_once(self, tmp_path):
+        """Replicas registering on many threads at once still read their
+        fingerprint once: exactly one call loads the rows."""
+        network = build(6, 2)
+        fingerprint, rows = self.warm_rows(network)
+        store = db(tmp_path)
+        for key, nodes in rows:
+            store.put(fingerprint, key, nodes)
+        cache = TieredWitnessCache(8, store)
+        loaded = []
+        barrier = threading.Barrier(8)
+
+        def register():
+            barrier.wait(timeout=30)
+            loaded.append(cache.warm_start(network, fingerprint))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=register) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            cache.close()
+        assert sorted(loaded) == [0] * 7 + [2]
+        assert store.stats().warm_loaded == 2
 
     def test_warm_start_reads_at_most_capacity(self, tmp_path):
         """Rows beyond the memory tier's capacity would be evicted as they
@@ -207,9 +217,8 @@ class TestWarmStart:
             assert stats.validation_failures == 1
             assert stats.rows == 2
             (old_key, _), (new_key, new_nodes) = rows
-            memory = super(TieredWitnessCache, cache)
-            assert memory.lookup_validated(fingerprint, new_key) == new_nodes
-            assert memory.lookup_validated(fingerprint, old_key) is None
+            assert cache.lookup_validated(fingerprint, new_key) == new_nodes
+            assert cache.lookup_validated(fingerprint, old_key) is None
         finally:
             cache.close()
 

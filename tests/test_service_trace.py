@@ -94,7 +94,8 @@ class TestRunDemoAcceptance:
             }
             hits = [r for r in by_key.values() if r.cache_hit]
             nets = {r.network for r in hits}
-            # replica sharing and symmetric sharing both observed
+            # replica sharing, and the ring's repair hitting its
+            # fault-free row
             assert "video-b" in nets
             assert "ring" in nets
 

@@ -1,6 +1,6 @@
 """Persisted witness rows are PYTHONHASHSEED-independent.
 
-The store keys rows by ``(fingerprint, encoded canonical fault key)`` and
+The store keys rows by ``(fingerprint, encoded fault key)`` and
 serializes pipelines with ``encode_nodes``; if any of that text depended
 on hash-seed-driven iteration order, a store written by one process would
 be unreadable garbage (or worse, silent misses) to the next.  Run the
@@ -34,17 +34,15 @@ WRITE_PROBE = textwrap.dedent(
 
     path = sys.argv[1]
     net = build(6, 2)
-    canon = Canonicalizer(net)
+    canon = Canonicalizer()
     fingerprint = network_fingerprint(net)
     out = {"fingerprint": fingerprint, "rows": []}
     with WitnessStore(path) as store:
         for labels in [[], ["p1"], ["p1", "p2"]]:
             # the *input* is a genuine set: iteration order varies by seed
             faults = {v for v in net.processors if repr(v)[1:-1] in labels}
-            key, sigma = canon.canonical(faults)
-            nodes = Canonicalizer.map_forward(
-                reconfigure(net, faults).nodes, sigma
-            )
+            key = canon.canonical(faults)
+            nodes = reconfigure(net, faults).nodes
             store.put(fingerprint, key, nodes)
             out["rows"].append(
                 {"key": encode_fault_key(key), "nodes": encode_nodes(nodes)}

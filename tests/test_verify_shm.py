@@ -50,10 +50,6 @@ class TestSharedSweepContext:
             assert (ctx.shm_name is not None) == use_shm
             attached = AttachedSweepContext(ctx.spec())
             assert attached.adj_rows() == builder.base_adj
-            assert attached.end_masks() == (
-                builder.base_start,
-                builder.base_end,
-            )
             for j in (1, 2):
                 table = attached.gray(j)
                 assert table is not None
