@@ -10,7 +10,7 @@ needs when ``n`` is even and ``k`` odd — which cannot happen here since
 
 from repro.analysis import format_table
 from repro.core.constructions import build, construction_plan
-from repro.core.verify import verify_exhaustive, verify_sampled
+from repro.core.verify import verify_exhaustive_parallel, verify_sampled
 
 GRID = [(k, l) for k in (1, 2, 3, 4, 5, 6) for l in (0, 1, 2, 3)]
 
@@ -38,7 +38,7 @@ def test_cor38_family(benchmark, artifact):
     artifact(format_table(["k", "l", "n", "max degree"], rows))
 
     # verification layer: exhaustive where cheap, sampled otherwise
-    assert verify_exhaustive(nets[(2, 2)]).is_proof
-    assert verify_exhaustive(nets[(3, 1)]).is_proof
+    assert verify_exhaustive_parallel(nets[(2, 2)]).is_proof
+    assert verify_exhaustive_parallel(nets[(3, 1)]).is_proof
     assert verify_sampled(nets[(5, 3)], trials=80, rng=3).ok
     artifact("k-GD checks: exhaustive (k=2,l=2), (k=3,l=1); sampled (k=5,l=3) — all pass")

@@ -13,13 +13,13 @@ import pytest
 from repro.analysis import network_summary
 from repro.core.constructions import build_g3k
 from repro.core.constructions.g3k import g3k_removed_matching
-from repro.core.verify import verify_exhaustive
+from repro.core.verify import verify_exhaustive_parallel
 
 
 def test_fig02_03_g3k_constructions(benchmark, artifact):
     def build_and_prove():
         net = build_g3k(3)
-        return net, verify_exhaustive(net)
+        return net, verify_exhaustive_parallel(net)
 
     net, cert = benchmark(build_and_prove)
     assert cert.is_proof
@@ -38,7 +38,7 @@ def test_fig02_03_g3k_constructions(benchmark, artifact):
             assert covered == set(range(k + 2))
         want = k + 2 if k == 1 else k + 3
         assert g.max_processor_degree() == want
-        small = verify_exhaustive(g) if k <= 4 else None
+        small = verify_exhaustive_parallel(g) if k <= 4 else None
         if small is not None:
             assert small.is_proof
             artifact(f"exhaustive 3.12 check: {small.summary()}")

@@ -7,14 +7,14 @@ Lemma 3.6 to ``G(1,1)`` yields ``G(3,1)``, and proves each graph
 
 from repro.analysis import network_summary
 from repro.core.constructions import build_g1k, build_g2k, build_g3k, extend
-from repro.core.verify import verify_exhaustive
+from repro.core.verify import verify_exhaustive_parallel
 from repro.graphs.isomorphism import labeled_isomorphic
 
 
 def test_fig04_k1_family(benchmark, artifact):
     def build_all_and_prove():
         nets = [build_g1k(1), build_g2k(1), build_g3k(1)]
-        certs = [verify_exhaustive(net) for net in nets]
+        certs = [verify_exhaustive_parallel(net) for net in nets]
         return nets, certs
 
     nets, certs = benchmark(build_all_and_prove)

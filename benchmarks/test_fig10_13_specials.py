@@ -12,7 +12,7 @@ exact pipeline-existence decisions.
 from repro.analysis import network_summary
 from repro.core.bounds import degree_lower_bound
 from repro.core.constructions import SPECIAL_PARAMETERS, build_special
-from repro.core.verify import verify_exhaustive
+from repro.core.verify import verify_exhaustive_parallel
 
 EXPECTED_CHECKS = {(6, 2): 106, (8, 2): 137, (7, 3): 988, (4, 3): 576}
 
@@ -20,7 +20,7 @@ EXPECTED_CHECKS = {(6, 2): 106, (8, 2): 137, (7, 3): 988, (4, 3): 576}
 def test_fig10_13_special_solutions(benchmark, artifact):
     def verify_all():
         return {
-            (n, k): verify_exhaustive(build_special(n, k))
+            (n, k): verify_exhaustive_parallel(build_special(n, k))
             for (n, k) in SPECIAL_PARAMETERS
         }
 

@@ -14,7 +14,7 @@ from repro.core.constructions import (
     build_special,
     extend,
 )
-from repro.core.verify import verify_exhaustive
+from repro.core.verify import verify_exhaustive_parallel
 
 BASES = [
     ("G(1,2)", lambda: build_g1k(2)),
@@ -31,7 +31,7 @@ def test_lemma36_chains(benchmark, artifact):
             net = factory()
             for step in range(3):
                 net = extend(net)
-                cert = verify_exhaustive(net) if step < 2 else None
+                cert = verify_exhaustive_parallel(net) if step < 2 else None
                 rows.append((name, step + 1, net, cert))
         return rows
 

@@ -12,7 +12,7 @@ processor-only faults.
 from repro.analysis import format_table
 from repro.core.bounds import merged_terminal_degree_bound
 from repro.core.constructions import build, merge_terminals
-from repro.core.verify import verify_exhaustive
+from repro.core.verify import verify_exhaustive_parallel
 
 CASES = [(1, 2), (2, 2), (3, 2), (6, 2), (4, 3), (9, 2)]
 
@@ -22,7 +22,7 @@ def test_merged_model(benchmark, artifact):
         out = {}
         for n, k in CASES:
             merged = merge_terminals(build(n, k))
-            cert = verify_exhaustive(merged, fault_universe=merged.processors)
+            cert = verify_exhaustive_parallel(merged, fault_universe=merged.processors)
             out[(n, k)] = (merged, cert)
         return out
 

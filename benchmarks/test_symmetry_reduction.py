@@ -2,17 +2,16 @@
 
 The constructions' automorphism groups (e.g. ``(k+1)!`` for ``G(1,k)``)
 let the exhaustive sweep check one representative per fault-set orbit.
-This harness measures the collapse in solver calls while asserting the
-verdicts match the plain sweep exactly.
+This harness runs the engine's opt-in orbit path
+(``verify_exhaustive_parallel(..., symmetry=True)``), reports the orbit
+representatives it decided per fault set, and asserts the certificates
+match the default Gray-range sweep exactly.
 """
 
 from repro.analysis import format_table
 from repro.core.constructions import build_g1k, build_g2k, build_g3k
-from repro.core.verify import verify_exhaustive
-from repro.core.verify.symmetry import (
-    enumerate_group,
-    verify_exhaustive_symmetry_reduced,
-)
+from repro.core.verify import verify_exhaustive_parallel
+from repro.core.verify.symmetry import enumerate_group
 
 CASES = [
     ("G(1,2)", lambda: build_g1k(2)),
@@ -22,8 +21,8 @@ CASES = [
 ]
 
 
-def _solver_calls(cert) -> int:
-    return int(cert.network_description.split("symmetry-reduced: ")[1].split()[0])
+def _orbit_reps(cert) -> int:
+    return int(cert.network_description.split("x1: ")[1].split()[0])
 
 
 def test_symmetry_reduction(benchmark, artifact):
@@ -31,8 +30,8 @@ def test_symmetry_reduction(benchmark, artifact):
         out = []
         for name, factory in CASES:
             net = factory()
-            plain = verify_exhaustive(net)
-            reduced = verify_exhaustive_symmetry_reduced(net)
+            plain = verify_exhaustive_parallel(net, workers=1)
+            reduced = verify_exhaustive_parallel(net, workers=1, symmetry=True)
             group = enumerate_group(net)
             out.append((name, net, plain, reduced, len(group)))
         return out
@@ -44,19 +43,20 @@ def test_symmetry_reduction(benchmark, artifact):
         assert reduced.checked == plain.checked
         assert reduced.tolerated == plain.tolerated
         assert reduced.is_proof == plain.is_proof
-        calls = _solver_calls(reduced)
+        reps = _orbit_reps(reduced)
         rows.append(
-            [name, group_order, plain.checked, calls,
-             f"{plain.checked / calls:.1f}x"]
+            [name, group_order, plain.checked, reps,
+             f"{reps / plain.checked:.3f}", f"{plain.checked / reps:.1f}x"]
         )
-        assert calls <= plain.checked
-    artifact("Symmetry-reduced exhaustive verification:")
+        assert reps <= plain.checked
+    artifact("Symmetry-reduced exhaustive verification (orbit path):")
     artifact(
         format_table(
-            ["instance", "|Aut|", "fault sets", "solver calls", "collapse"],
+            ["instance", "|Aut|", "fault sets", "orbit reps", "reps/set",
+             "collapse"],
             rows,
         )
     )
     # the highly symmetric clique collapses the most
     g13 = next(r for r in rows if r[0] == "G(1,3)")
-    assert float(g13[4].rstrip("x")) > 5.0
+    assert float(g13[5].rstrip("x")) > 5.0

@@ -8,7 +8,7 @@ additionally proven 1-GD exhaustively.
 
 from repro.analysis.tables import degree_table, theorem_degree_claims
 from repro.core.constructions import build
-from repro.core.verify import verify_exhaustive
+from repro.core.verify import verify_exhaustive_parallel
 
 N_RANGE = range(1, 41)
 
@@ -25,6 +25,6 @@ def test_thm313_degree_table(benchmark, artifact):
         assert row.optimal
 
     for n in range(1, 11):
-        cert = verify_exhaustive(build(n, 1))
+        cert = verify_exhaustive_parallel(build(n, 1))
         assert cert.is_proof, n
     artifact("exhaustive 1-GD proofs for n = 1..10: all pass")

@@ -8,7 +8,7 @@ Regenerates the degree table over ``n = 1..40`` and proves the
 
 from repro.analysis.tables import degree_table, theorem_degree_claims
 from repro.core.constructions import build
-from repro.core.verify import verify_exhaustive
+from repro.core.verify import verify_exhaustive_parallel
 
 N_RANGE = range(1, 41)
 
@@ -29,6 +29,6 @@ def test_thm315_degree_table(benchmark, artifact):
     assert exceptional == [2, 3, 5]
 
     for n in range(1, 10):
-        cert = verify_exhaustive(build(n, 2))
+        cert = verify_exhaustive_parallel(build(n, 2))
         assert cert.is_proof, n
     artifact("exhaustive 2-GD proofs for n = 1..9: all pass")

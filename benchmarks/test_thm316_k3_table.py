@@ -9,7 +9,7 @@ Regenerates the degree table over ``n = 1..40`` and proves the
 
 from repro.analysis.tables import degree_table, theorem_degree_claims
 from repro.core.constructions import build
-from repro.core.verify import verify_exhaustive
+from repro.core.verify import verify_exhaustive_parallel
 
 N_RANGE = range(1, 41)
 
@@ -26,6 +26,6 @@ def test_thm316_degree_table(benchmark, artifact):
         assert row.optimal
 
     for n in range(1, 8):
-        cert = verify_exhaustive(build(n, 3))
+        cert = verify_exhaustive_parallel(build(n, 3))
         assert cert.is_proof, n
     artifact("exhaustive 3-GD proofs for n = 1..7: all pass")

@@ -5,15 +5,17 @@ k-gracefully-degradable for ``k >= 4`` and ``n`` sufficiently large
 The paper's proof is in the (unavailable) tech report; the reproduction
 is evidence by verification: for a (k, n) sweep starting at this
 implementation's structural floor, every instance passes an adversarial
-sampled check, and the smallest instance per ``k`` additionally passes
-an exhaustive sweep over all fault sets of size <= 2.  Node- and
-degree-optimality are asserted throughout.
+sampled check, and the smallest instance for k = 4 and k = 5 is
+machine-proved: an exhaustive sweep over every fault set of size <= k.
+Node- and degree-optimality are asserted throughout.
 """
+
+from math import comb
 
 from repro.analysis import format_table
 from repro.core.bounds import degree_lower_bound
 from repro.core.constructions import build_asymptotic, minimum_asymptotic_n
-from repro.core.verify import verify_exhaustive, verify_sampled
+from repro.core.verify import verify_exhaustive_parallel, verify_sampled
 
 SWEEP = [
     (k, n)
@@ -51,9 +53,10 @@ def test_thm317_sampled_sweep(benchmark, artifact):
         format_table(["k", "n", "|V|", "max deg", "fault sets", "verdict"], rows)
     )
 
-    # exhaustive size-<=2 layer on the smallest instance per k
+    # machine proof at full k on the smallest instance for k = 4, 5
     for k in (4, 5):
         net = build_asymptotic(minimum_asymptotic_n(k), k)
-        cert = verify_exhaustive(net, sizes=[0, 1, 2])
-        assert cert.ok and not cert.undecided
-        artifact(f"exhaustive |F|<=2 sweep, k={k}, n={net.n}: {cert.summary()}")
+        cert = verify_exhaustive_parallel(net)
+        assert cert.is_proof and cert.k == k, cert.summary()
+        assert cert.checked == sum(comb(len(net), j) for j in range(k + 1))
+        artifact(f"exhaustive |F|<={k} sweep, n={net.n}: {cert.summary()}")

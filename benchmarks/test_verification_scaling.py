@@ -13,7 +13,7 @@ import time
 
 from repro.analysis import format_table
 from repro.core.constructions import build
-from repro.core.verify import verify_exhaustive, verify_sampled
+from repro.core.verify import verify_exhaustive_parallel, verify_sampled
 
 EXHAUSTIVE_CASES = [(3, 1), (6, 2), (4, 3), (7, 3)]
 SAMPLED_CASES = [(22, 4), (40, 4), (26, 5), (30, 6)]
@@ -21,14 +21,14 @@ SAMPLED_CASES = [(22, 4), (40, 4), (26, 5), (30, 6)]
 
 def test_verification_scaling(benchmark, artifact):
     net62 = build(6, 2)
-    cert = benchmark(lambda: verify_exhaustive(net62))
+    cert = benchmark(lambda: verify_exhaustive_parallel(net62))
     assert cert.is_proof
 
     rows = []
     for n, k in EXHAUSTIVE_CASES:
         net = build(n, k)
         t0 = time.perf_counter()
-        c = verify_exhaustive(net)
+        c = verify_exhaustive_parallel(net)
         dt = time.perf_counter() - t0
         v = len(net)
         expected = sum(math.comb(v, j) for j in range(k + 1))

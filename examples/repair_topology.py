@@ -10,7 +10,7 @@ propose reinforcement edges, and re-verifies the result exhaustively.
 Run:  python examples/repair_topology.py
 """
 
-from repro import build_g3k, find_fatal_witness, verify_exhaustive
+from repro import build_g3k, find_fatal_witness, verify_exhaustive_parallel
 from repro.analysis import network_summary
 from repro.core.repair import repair_network
 
@@ -29,7 +29,7 @@ def main() -> None:
     if witness is not None:
         print(f"Fast disproof via {witness.lemma}: fault set "
               f"{sorted(map(str, witness.faults))} is intolerable.")
-    cert = verify_exhaustive(net)
+    cert = verify_exhaustive_parallel(net)
     assert not cert.is_proof
     print(f"Exhaustive check agrees: {cert.summary()}")
     print()
@@ -42,7 +42,7 @@ def main() -> None:
         print(f"  + {step.edge}  (fixes fault set "
               f"{sorted(map(str, step.fixed_fault_set))})")
     print()
-    final = verify_exhaustive(patched)
+    final = verify_exhaustive_parallel(patched)
     assert final.is_proof
     print(f"Re-verified: {final.summary()}")
     print(

@@ -12,7 +12,7 @@ Run:  python examples/search_special.py [n k max_degree]
 
 import sys
 
-from repro import verify_exhaustive
+from repro import verify_exhaustive_parallel
 from repro.analysis import network_summary
 from repro.core.search import random_search_standard_solution
 
@@ -38,7 +38,7 @@ def main() -> None:
     print(f"inputs at processors  {result.input_at}")
     print(f"outputs at processors {result.output_at}")
 
-    cert = verify_exhaustive(net)
+    cert = verify_exhaustive_parallel(net)
     print()
     print(cert.summary())
     assert cert.is_proof, "search results are exhaustively verified"

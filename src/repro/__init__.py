@@ -16,7 +16,7 @@ Quickstart::
     pl = repro.reconfigure(net, ["c3", "ti2"])  # route around two faults
     assert pl.length == len(net.processors) - 1
 
-    cert = repro.verify_exhaustive(repro.build(6, 2))
+    cert = repro.verify_exhaustive_parallel(repro.build(6, 2))
     assert cert.is_proof                      # machine proof of 2-GD
 """
 
@@ -105,6 +105,7 @@ __all__ = [
     "reconfigure",
     "ReconfigurationSession",
     "verify_exhaustive",
+    "verify_exhaustive_parallel",
     "verify_sampled",
     "VerificationCertificate",
     # edge faults & witnesses
@@ -130,3 +131,13 @@ __all__ = [
     "SimulationError",
     "ServiceOverloadError",
 ]
+
+
+def __getattr__(name: str):
+    # the numpy-backed engine loads on first use, so ``import repro``
+    # (every serving process) stays numpy-free
+    if name == "verify_exhaustive_parallel":
+        from .core.verify import verify_exhaustive_parallel
+
+        return verify_exhaustive_parallel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

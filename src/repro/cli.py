@@ -11,7 +11,7 @@ Subcommands
 ``search``       re-derive a special solution by constrained search
 ``serve``        drive the fleet control plane from a fault trace
 ``trace``        tail/filter/check trace files and flight-recorder dumps
-``bench``        time the verification engines (BENCH_verify.json) or, with
+``bench``        time the exhaustive engine (BENCH_verify.json) or, with
                  ``--service``, load-test the control plane
                  (BENCH_service.json)
 ``lint``         run the project's static analyzer against its baseline
@@ -48,7 +48,7 @@ from .analysis.export import to_adjacency_json, to_dot, to_edge_list
 from .core.constructions import build
 from .core.reconfigure import reconfigure
 from .core.search import random_search_standard_solution
-from .core.verify import verify_exhaustive, verify_sampled
+from .core.verify import verify_sampled
 from .errors import ReproError
 
 
@@ -94,15 +94,17 @@ def make_parser() -> argparse.ArgumentParser:
     _add_nk(p)
     p.add_argument(
         "--mode",
-        choices=["exhaustive", "warm", "parallel", "sampled"],
+        choices=["exhaustive", "sampled"],
         default="exhaustive",
-        help="parallel auto-falls back to the serial warm sweep below "
-        "the dispatch threshold",
+        help="exhaustive: every fault set of size <= k on the witness "
+        "kernel (a proof); sampled: random and adversarial fault sets",
     )
     p.add_argument("--trials", type=int, default=300, help="sampled mode trials")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel mode worker count (default: auto)")
+                   help="exhaustive mode worker count (default: auto "
+                        "dispatch, in-process for small sweeps or on one "
+                        "CPU, else one worker per CPU)")
 
     p = sub.add_parser("reconfigure", help="embed a pipeline around faults")
     _add_nk(p)
@@ -187,20 +189,21 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="benchmark the verification engines (cold/warm/parallel) or, "
-             "with --service, the control plane under open-loop load",
+        help="benchmark the exhaustive engine against its cold oracle "
+             "or, with --service, the control plane under open-loop load",
     )
     p.add_argument("--out", default="BENCH_verify.json",
                    help="JSON output path ('-' = stdout only; default "
                         "BENCH_service.json in --service mode)")
     p.add_argument("--smoke", action="store_true",
-                   help="quick subset; exit nonzero when the warm run "
-                        "regresses >10%% behind cold")
+                   help="quick subset; exit nonzero when the engine runs "
+                        ">10%% plus 50 ms slower than the cold sweep")
     p.add_argument("--instance", action="append", default=[], metavar="NAME",
                    help="catalog instance to run (repeatable; default all)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker count (default: CPU count; 4 in --service "
-                        "mode)")
+                   help="engine worker count (default: auto dispatch, "
+                        "in-process for small sweeps or on one CPU, else "
+                        "one worker per CPU; 4 in --service mode)")
     p.add_argument("--service", action="store_true",
                    help="benchmark the service plane instead: replay an "
                         "open-loop fault/repair/query trace against a live "
@@ -244,14 +247,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .core.verify import verify_exhaustive_parallel, verify_exhaustive_warm
-
     net = build(args.n, args.k)
     if args.mode == "exhaustive":
-        cert = verify_exhaustive(net)
-    elif args.mode == "warm":
-        cert = verify_exhaustive_warm(net)
-    elif args.mode == "parallel":
+        from .core.verify import verify_exhaustive_parallel
+
         cert = verify_exhaustive_parallel(net, workers=args.workers)
     else:
         cert = verify_sampled(net, trials=args.trials, rng=args.seed)
@@ -337,6 +336,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_report(args) -> int:
     from .analysis.reporting import format_markdown_table
+    from .core.verify import verify_exhaustive_parallel
     from .core.verify.regression import replay
 
     lines: list[str] = [
@@ -368,7 +368,7 @@ def cmd_report(args) -> int:
     proof_rows = []
     all_proved = True
     for n, k in proof_cases:
-        cert = verify_exhaustive(build(n, k))
+        cert = verify_exhaustive_parallel(build(n, k))
         all_proved &= cert.is_proof
         proof_rows.append(
             [f"G({n},{k})", cert.checked,
@@ -422,8 +422,8 @@ def cmd_bench(args) -> int:
         if regressions:
             return 1
         print(
-            "smoke gate: warm sweep within 10% of cold and parallel "
-            "sweep within 10% of warm everywhere"
+            "smoke gate: engine certificates agree with cold (full counts "
+            "where cold is skipped), engine within 10% + 50 ms of cold"
         )
     return 0
 

@@ -10,7 +10,8 @@ terminal.  This module provides:
   from a :class:`~repro.core.model.SurvivorView`;
 * :class:`IncrementalInstanceBuilder` — instances for successive fault
   sets of one network in a shared, network-global bit space, patched by
-  the delta between fault sets (the warm sweep and the online session);
+  the delta between fault sets (the exhaustive engine's residue decider
+  and the online session);
 * :func:`solve_backtracking` — exact DFS with connectivity / dead-end /
   forced-endpoint pruning and Warnsdorff ordering (complete: a ``NONE``
   answer is a proof, subject to the node budget);

@@ -4,7 +4,7 @@ Two kinds of "repair" live here.  The first operates on *witnesses*:
 :func:`adapt_witness` splices a previously solved pipeline path onto a
 neighboring fault set (cut the newly dead nodes out, bridge or 2-opt the
 halves back together, splice the newly healthy nodes in).  It is the
-workhorse of the warm-started exhaustive sweep
+workhorse of the exhaustive engine's residue decider
 (:mod:`repro.core.verify.warm`), where consecutive revolving-door fault
 sets differ by one swapped node and the previous witness almost always
 adapts in microseconds instead of costing a solver call.
@@ -181,11 +181,17 @@ def _find_counterexample(
     wit = find_fatal_witness(network, policy)
     if wit is not None:
         return tuple(sorted(wit.faults, key=repr))
-    # lazy: verify.warm imports this module for adapt_witness
-    from .verify.warm import verify_exhaustive_warm
+    return _sweep(network, policy).counterexample
 
-    cert = verify_exhaustive_warm(network, policy=policy)
-    return cert.counterexample
+
+def _sweep(network: PipelineNetwork, policy: SolvePolicy):
+    """The exhaustive engine, in-process: a stopping sweep then reports
+    the first intolerable fault set in revolving-door order, so the
+    edge picked for it does not depend on pool scheduling."""
+    # lazy: the engine imports this module for adapt_witness
+    from .verify.parallel import verify_exhaustive_parallel
+
+    return verify_exhaustive_parallel(network, policy=policy, workers=1)
 
 
 def _candidate_edges(network: PipelineNetwork, fault_set: tuple):
@@ -260,10 +266,8 @@ def repair_network(
     if not report.steps and report.remaining_counterexample is None:
         report.success = True
     if report.success:
-        # back the claim with a full (warm-started) sweep
-        from .verify.warm import verify_exhaustive_warm
-
-        cert = verify_exhaustive_warm(patched, policy=policy)
+        # back the claim with a full exhaustive sweep
+        cert = _sweep(patched, policy)
         report.success = cert.is_proof
         if not report.success:
             report.remaining_counterexample = cert.counterexample

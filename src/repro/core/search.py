@@ -38,9 +38,21 @@ from .constructions.g1k import build_g1k
 from .constructions.g2k import build_g2k
 from .hamilton import SolvePolicy
 from .model import PipelineNetwork
-from .verify.exhaustive import verify_exhaustive
+from .verify.certificates import VerificationCertificate
 
 Node = Hashable
+
+
+def _prove(
+    cand: PipelineNetwork, k: int, policy: SolvePolicy
+) -> VerificationCertificate:
+    """Exhaustive verdict for one candidate, in-process: a search
+    decides hundreds of small candidates and must not fork a worker
+    pool for each."""
+    # lazy: the numpy-backed engine loads on first use, not on import
+    from .verify.parallel import verify_exhaustive_parallel
+
+    return verify_exhaustive_parallel(cand, k, policy, workers=1)
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +182,7 @@ def random_search_standard_solution(
             continue
         proc_edges = tuple(sorted(pg.edges))
         cand = assemble_candidate(n, k, proc_edges, input_at, output_at)
-        cert = verify_exhaustive(cand, k, policy)
+        cert = _prove(cand, k, policy)
         if cert.is_proof:
             return SearchResult(
                 cand, trial, proc_edges, tuple(input_at), tuple(output_at)
@@ -246,7 +258,7 @@ def prove_lemma_3_14(policy: SolvePolicy | None = None) -> ImpossibilityReport:
             seen_splits.add(key)
             labelings += 1
             cand = assemble_candidate(n, k, edges, ins, outs)
-            cert = verify_exhaustive(cand, k, policy)
+            cert = _prove(cand, k, policy)
             if cert.is_proof:
                 solutions.append(cand)
     return ImpossibilityReport(report_graphs, labelings, tuple(solutions))
@@ -304,7 +316,7 @@ def enumerate_standard_solutions(
     found: list[PipelineNetwork] = []
     for input_at, output_at in _terminal_placements(nprocs, k, per_proc_max=3):
         cand = assemble_candidate(n, k, clique_edges, input_at, output_at)
-        cert = verify_exhaustive(cand, k, policy)
+        cert = _prove(cand, k, policy)
         if not cert.is_proof:
             continue
         if any(

@@ -1,9 +1,14 @@
 """k-graceful-degradability verification.
 
+* :mod:`repro.core.verify.parallel` — the exhaustive engine,
+  :func:`verify_exhaustive_parallel`: check *every* fault set of size
+  ``<= k`` on the witness kernel (a machine proof for the given
+  instance; this is how the paper's own "computer checking" of the
+  special solutions worked);
+* :mod:`repro.core.verify.exhaustive` — fault-set enumeration and the
+  cold sweep :func:`verify_exhaustive`, which shares no code with the
+  engine and is the oracle its tests and ``repro bench`` compare with;
 * :mod:`repro.core.verify.certificates` — result objects;
-* :mod:`repro.core.verify.exhaustive` — check *every* fault set of size
-  ``<= k`` (a machine proof for the given instance; this is how the
-  paper's own "computer checking" of the special solutions worked);
 * :mod:`repro.core.verify.sampling` — randomized + adversarial fault
   sampling for instances too large to exhaust;
 * :mod:`repro.core.verify.adversarial` — structure-aware fault-set
@@ -36,12 +41,8 @@ from .exhaustive import (
 )
 from .regression import replay as replay_regression_vectors
 from .sampling import verify_sampled
-from .symmetry import (
-    CanonicalVerdictCache,
-    orbit_representatives,
-    verify_exhaustive_symmetry_reduced,
-)
-from .warm import WitnessSweeper, verify_exhaustive_warm
+from .symmetry import CanonicalVerdictCache, orbit_representatives
+from .warm import WitnessSweeper
 
 __all__ = [
     "VerificationCertificate",
@@ -51,9 +52,7 @@ __all__ = [
     "gray_unrank",
     "iter_gray_indices",
     "verify_exhaustive",
-    "verify_exhaustive_warm",
     "verify_exhaustive_parallel",
-    "verify_exhaustive_symmetry_reduced",
     "orbit_representatives",
     "CanonicalVerdictCache",
     "WitnessKernel",

@@ -1,10 +1,11 @@
 """Vectorized witness kernel for the exhaustive sweep.
 
-The warm sweep (:mod:`repro.core.verify.warm`) decides fault sets one at
-a time: patch the instance, try to splice the previous witness, fall
-back to a solver.  Per-set Python overhead — not solver work — is what
-bounds it: on the dense construction graphs >95% of fault sets are
-decided by a splice whose *logic* is a handful of bitmask tests.
+The witness sweeper (:class:`~repro.core.verify.warm.WitnessSweeper`)
+decides fault sets one at a time: patch the instance, try to splice the
+previous witness, fall back to a solver.  Per-set Python overhead — not
+solver work — is what bounds it: on the dense construction graphs >95%
+of fault sets are decided by a splice whose *logic* is a handful of
+bitmask tests.
 
 This module hoists those tests out of the per-set loop and runs them as
 numpy matrix ops over whole *batches* of fault sets at once.  A
@@ -14,8 +15,8 @@ id (path position per node, run-bridge chords, candidate endpoint
 processors), and a batch of fault sets — a ``(B, j)`` matrix of
 node indices in revolving-door order — is accepted row by row when some
 witness provably adapts to the set.  Only the *residue* (sets no library
-witness provably tolerates) falls back to the scalar warm path, which
-also grows the library as it solves.
+witness provably tolerates) falls back to the sweeper, which also
+grows the library as it solves.
 
 Acceptance is **sound by construction** — a set is accepted only when an
 explicit pipeline can be assembled from the witness:
@@ -32,8 +33,9 @@ explicit pipeline can be assembled from the witness:
 
 False rejects are fine (they land in the residue and get solved
 exactly); false accepts are impossible, so verdicts, counterexamples
-and ``checked``/``tolerated`` totals are identical to the warm sweep's
-— asserted in the test suite.
+and ``checked``/``tolerated`` totals are identical to the cold sweep's
+(:func:`~repro.core.verify.exhaustive.verify_exhaustive`) — asserted in
+the test suite.
 
 One vectorized evaluator decides ``(row, witness)`` pairs for both
 tiers of :meth:`WitnessKernel.accept_batch`.  The general tier pairs the

@@ -1,44 +1,42 @@
 """Verification performance benchmark (``python -m repro bench``).
 
-Times the three exhaustive sweep engines — cold serial
-(:func:`~repro.core.verify.exhaustive.verify_exhaustive`), warm-started
-serial (:func:`~repro.core.verify.warm.verify_exhaustive_warm`) and the
-Gray-range witness-kernel sweep
+Times the exhaustive engine — the Gray-range witness-kernel sweep
 (:func:`~repro.core.verify.parallel.verify_exhaustive_parallel`,
-in-process or on a worker pool) — over a fixed catalog of instances:
-the small standard constructions, the paper's four computer-checked
-specials, a Theorem 3.17 instance at k=4 and vertex-transitive
-circulants.  Every run cross-checks the engines against each other
-(identical verdicts and multiplicity-weighted ``checked``/``tolerated``
-counts) before reporting a speedup, so a "fast" result that changed an
-answer fails loudly instead of flattering the benchmark.
+in-process or on a worker pool) — against its cold oracle
+(:func:`~repro.core.verify.exhaustive.verify_exhaustive`, which shares
+no code with it) over a fixed catalog of instances: the small standard
+constructions, the paper's four computer-checked specials, a Theorem
+3.17 instance at k=4 and vertex-transitive circulants.  Every run
+checks the engine's certificate before reporting a speedup, so a "fast"
+result that changed an answer fails loudly instead of flattering the
+benchmark.
 
 Results go to ``BENCH_verify.json``; one row per (instance, mode):
 
 ``instance``            catalog name, e.g. ``"G(7,3)"``
-``mode``                ``"cold"`` / ``"warm"`` / ``"parallel"``
+``mode``                ``"cold"`` / ``"parallel"``
 ``k``                   fault budget swept
 ``verdict``             ``"proof"`` / ``"counterexample"`` / ``"undecided"``
 ``fault_sets_checked``  multiplicity-weighted sets decided
 ``wall_time_s``         sweep wall-clock seconds, median of
                         :data:`REPEATS` runs
 ``fault_sets_per_sec``  checked / wall — the throughput headline
-``solver_calls``        exact-solver invocations (< checked when warm)
+``solver_calls``        exact-solver invocations
 ``nodes_expanded``      total search nodes across those calls
 ``adapted``             sets decided by witness splicing alone
 ``kernel_accepted``     sets decided by the witness kernel
 ``speedup_vs_cold``     cold wall time / this mode's wall time
-``parallel_vs_warm``    warm wall time / parallel wall time (parallel rows)
 
-Instances in :data:`BIG_INSTANCES` skip the cold reference sweep (it
-would take minutes for zero information — warm already agrees with cold
-on the small catalog, so warm is the cross-check reference there).
+Instances in :data:`BIG_INSTANCES` skip the cold sweep (it would take
+minutes); there the engine's certificate must instead count every fault
+set of size ``<= k`` as checked and tolerated.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from math import comb
 from typing import Callable, Hashable
 
 from ..._util import host_meta
@@ -51,7 +49,6 @@ from ..model import PipelineNetwork
 from .certificates import VerificationCertificate
 from .exhaustive import verify_exhaustive
 from .parallel import verify_exhaustive_parallel
-from .warm import verify_exhaustive_warm
 
 Node = Hashable
 
@@ -66,7 +63,7 @@ def _ring_instance() -> PipelineNetwork:
 def _big_ring(m: int, k: int, offsets: tuple[int, ...]) -> PipelineNetwork:
     """A circulant ring like :func:`demo_ring_network` but with a chosen
     fault budget *k* — the scale tier where the witness kernel's
-    bit-parallelism dominates the per-set warm loop."""
+    bit-parallelism dominates the per-set residue loop."""
     import networkx as nx
 
     from ...graphs.circulant import circulant_graph
@@ -106,7 +103,7 @@ CATALOG: tuple[tuple[str, Callable[[], PipelineNetwork]], ...] = (
 )
 
 #: instances too large for the cold per-set rebuild sweep: skip the cold
-#: reference and cross-check parallel against warm instead.
+#: reference and check the engine's counts against the closed form.
 BIG_INSTANCES: frozenset[str] = frozenset(
     {"G(14,4)", "ring-C16(1,2)k3", "ring-C48(1,2,3)k3"}
 )
@@ -114,7 +111,7 @@ BIG_INSTANCES: frozenset[str] = frozenset(
 #: quick subset for the CI smoke gate: one construction, two specials,
 #: and two instances big enough for automatic dispatch to fork a pool;
 #: G(14,4)'s residue grows hundreds of conditional witnesses, so the
-#: engine cross-check covers the kernel's conditional tier.
+#: engine's full-count check covers the kernel's conditional tier.
 SMOKE_CATALOG: tuple[str, ...] = (
     "G(3,2)",
     "G(6,2)",
@@ -188,7 +185,6 @@ def _row(
     wall: float,
     cold_wall: float | None,
     phases: dict | None = None,
-    warm_wall: float | None = None,
 ) -> dict:
     return {
         "instance": instance,
@@ -207,11 +203,6 @@ def _row(
         "speedup_vs_cold": (
             round(cold_wall / wall, 3) if cold_wall and wall > 0 else None
         ),
-        "parallel_vs_warm": (
-            round(warm_wall / wall, 3)
-            if mode == "parallel" and warm_wall and wall > 0
-            else None
-        ),
         #: per-phase latency breakdown (span name -> histogram summary);
         #: empty for the untraced cold reference sweep
         "phases": phases or {},
@@ -225,13 +216,16 @@ def run_bench(
     policy: SolvePolicy | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
-    """Benchmark every requested catalog instance across all three
-    engines, each timed as the median of :data:`REPEATS` runs; returns
-    the ``BENCH_verify.json`` payload.
+    """Benchmark every requested catalog instance on the engine and,
+    outside :data:`BIG_INSTANCES`, the cold oracle, each timed as the
+    median of :data:`REPEATS` runs; returns the ``BENCH_verify.json``
+    payload.
 
-    Raises :class:`~repro.errors.VerificationError` when any engine
-    disagrees with the cold sweep on verdict or counts — a benchmark
-    must never trade correctness for speed silently.
+    Raises :class:`~repro.errors.VerificationError` when the engine
+    disagrees with the cold sweep on verdict or counts, or, without a
+    cold sweep, when it does not check and tolerate all
+    ``sum C(|V|, j)`` fault sets of size ``<= k`` — a benchmark must
+    never trade correctness for speed silently.
     """
     policy = policy or SolvePolicy()
     catalog = dict(CATALOG)
@@ -240,10 +234,10 @@ def run_bench(
     if unknown:
         raise VerificationError(f"unknown bench instances: {unknown!r}")
     rows: list[dict] = []
-    # per-phase timing: the warm and parallel sweeps run under a root
-    # span, so their solver-tier child spans (warm_rotate / exact_solve /
-    # verify_chunk) fold into a phase breakdown per row.  The cold sweep
-    # stays untraced — it is the overhead-free reference the speedup and
+    # per-phase timing: the engine runs under a root span, so its
+    # solver-tier child spans (verify_chunk / warm_rotate / exact_solve)
+    # fold into a phase breakdown per row.  The cold sweep stays
+    # untraced — it is the overhead-free reference the speedup and
     # regression gates compare against.
     tracer = Tracer(ring=1 << 16)
     for name in names:
@@ -255,45 +249,35 @@ def run_bench(
             cold, cold_wall, _ = _median_run(
                 lambda: verify_exhaustive(network, policy=policy)
             )
-        warm, warm_wall, warm_phases = _median_run(
-            lambda: verify_exhaustive_warm(network, policy=policy),
-            tracer, instance=name, mode="warm",
-        )
         par, par_wall, par_phases = _median_run(
             lambda: verify_exhaustive_parallel(
                 network, policy=policy, workers=workers
             ),
             tracer, instance=name, mode="parallel",
         )
-        reference = cold if cold is not None else warm
-        ref_name = "cold" if cold is not None else "warm"
-        for mode, cert in (("warm", warm), ("parallel", par)):
-            if cert is reference:
-                continue
+        if cold is not None:
             if (
-                _verdict(cert) != _verdict(reference)
-                or cert.checked != reference.checked
-                or cert.tolerated != reference.tolerated
+                _verdict(par) != _verdict(cold)
+                or par.checked != cold.checked
+                or par.tolerated != cold.tolerated
             ):
                 raise VerificationError(
-                    f"{name}: {mode} sweep disagrees with {ref_name} sweep "
-                    f"({cert.summary()} vs {reference.summary()})"
+                    f"{name}: parallel sweep disagrees with cold sweep "
+                    f"({par.summary()} vs {cold.summary()})"
                 )
-        if cold is not None:
             rows.append(_row(name, "cold", cold, cold_wall, None))
-        rows.append(
-            _row(name, "warm", warm, warm_wall, cold_wall, warm_phases)
-        )
-        rows.append(
-            _row(
-                name,
-                "parallel",
-                par,
-                par_wall,
-                cold_wall,
-                par_phases,
-                warm_wall=warm_wall,
+        else:
+            total = sum(
+                comb(len(network.graph), j) for j in range(network.k + 1)
             )
+            if not par.checked == par.tolerated == total:
+                raise VerificationError(
+                    f"{name}: parallel sweep checked {par.checked} and "
+                    f"tolerated {par.tolerated} of {total} fault sets "
+                    f"({par.summary()})"
+                )
+        rows.append(
+            _row(name, "parallel", par, par_wall, cold_wall, par_phases)
         )
     return {
         "meta": {
@@ -319,7 +303,7 @@ def format_bench_table(payload: dict) -> str:
         f"{'kernel':>7} {'wall_s':>9} {'sets/s':>10} {'speedup':>8}  verdict"
     ]
     for row in payload["rows"]:
-        speedup = row["speedup_vs_cold"] or row.get("parallel_vs_warm")
+        speedup = row["speedup_vs_cold"]
         rate = row.get("fault_sets_per_sec")
         lines.append(
             f"{row['instance']:<18} {row['mode']:<9} "
@@ -334,49 +318,31 @@ def format_bench_table(payload: dict) -> str:
 def smoke_regressions(
     payload: dict, tolerance: float = 0.10, slack_s: float = 0.05
 ) -> list[str]:
-    """Performance regressions the CI smoke gate fails on.
-
-    Two checks per instance:
-
-    * the warm sweep must not run more than *tolerance* slower than the
-      cold reference (keeps the warm path from quietly rotting);
-    * the parallel sweep must not run more than *tolerance* slower than
-      warm — the witness kernel's whole reason to exist is beating the
-      per-set warm loop, so losing to it is a regression, not noise.
+    """Performance regressions the CI smoke gate fails on: an engine
+    row more than *tolerance* slower than its instance's cold row.
 
     *slack_s* is an absolute allowance on top of the relative tolerance:
     the millisecond-scale instances sit well inside scheduler noise (a
     single ~20 ms stall lands on a random row), so only overruns that
     clear both the ratio and the absolute slack count as regressions.
+    Correctness is gated earlier: :func:`run_bench` raises when the
+    engine's certificate is wrong.
     """
     cold_by_instance = {
         r["instance"]: r["wall_time_s"]
         for r in payload["rows"]
         if r["mode"] == "cold"
     }
-    warm_by_instance = {
-        r["instance"]: r["wall_time_s"]
-        for r in payload["rows"]
-        if r["mode"] == "warm"
-    }
     bad: list[str] = []
     for row in payload["rows"]:
-        if row["mode"] == "warm":
-            cold_wall = cold_by_instance.get(row["instance"])
-            if cold_wall and row["wall_time_s"] > (
-                cold_wall * (1 + tolerance) + slack_s
-            ):
-                bad.append(
-                    f"{row['instance']}: warm {row['wall_time_s']:.4f}s vs "
-                    f"cold {cold_wall:.4f}s"
-                )
-        elif row["mode"] == "parallel":
-            warm_wall = warm_by_instance.get(row["instance"])
-            if warm_wall and row["wall_time_s"] > (
-                warm_wall * (1 + tolerance) + slack_s
-            ):
-                bad.append(
-                    f"{row['instance']}: parallel {row['wall_time_s']:.4f}s "
-                    f"vs warm {warm_wall:.4f}s"
-                )
+        cold_wall = cold_by_instance.get(row["instance"])
+        if (
+            row["mode"] == "parallel"
+            and cold_wall
+            and row["wall_time_s"] > cold_wall * (1 + tolerance) + slack_s
+        ):
+            bad.append(
+                f"{row['instance']}: parallel {row['wall_time_s']:.4f}s "
+                f"vs cold {cold_wall:.4f}s"
+            )
     return bad

@@ -27,6 +27,10 @@ class VerificationCertificate:
     * a **proof** of k-graceful-degradability when the mode is exhaustive,
       no counterexample was found, and nothing was undecided;
     * statistical evidence otherwise.
+
+    An exhaustive certificate's ``k`` is the budget its sweep covered:
+    every fault set of every size ``0..k``.  A sweep that skipped size 0
+    covers no budget (``k == -1``) and proves nothing.
     """
 
     mode: VerificationMode
@@ -53,6 +57,7 @@ class VerificationCertificate:
         """True when this certificate *proves* the k-GD property."""
         return (
             self.mode is VerificationMode.EXHAUSTIVE
+            and self.k >= 0
             and self.counterexample is None
             and not self.undecided
         )

@@ -1,14 +1,16 @@
-"""Exhaustive k-GD verification.
+"""Fault-set enumeration and the cold exhaustive sweep.
 
-Iterates **every** fault set ``F`` with ``|F| <= k`` over all nodes
-(terminals included — the paper's model lets terminals fail) and decides
-pipeline existence exactly for each.  A clean run is a machine proof of
-the k-GD property for the instance, the same standard of evidence the
-paper's "exhaustively verified by computer checking" specials rest on.
+:func:`verify_exhaustive` iterates **every** fault set ``F`` with
+``|F| <= k`` over all nodes (terminals included — the paper's model lets
+terminals fail) and decides pipeline existence exactly for each, one
+fresh solve per set.  A clean run is a machine proof of the k-GD
+property for the instance, the same standard of evidence the paper's
+"exhaustively verified by computer checking" specials rest on.
 
-Cost is ``sum_{j<=k} C(|V|, j)`` solver calls; fine for the small-``n``
-constructions and the specials, prohibitive for the asymptotic graphs
-(use :mod:`repro.core.verify.sampling` there).
+Its cost is ``sum_{j<=k} C(|V|, j)`` solver calls, so callers prove with
+the engine, :func:`~repro.core.verify.parallel.verify_exhaustive_parallel`.
+This sweep shares no code with it and stays as its oracle: the tests and
+``repro bench`` compare the engine's certificates with it.
 """
 
 from __future__ import annotations
@@ -137,6 +139,27 @@ def iter_fault_sets_gray(
             yield tuple(nodes[i] for i in idxs)
 
 
+def swept_budget(k: int, sizes: Iterable[int] | None, n: int) -> int:
+    """The fault budget a sweep of *sizes* over *n* nodes proves: the
+    largest ``j`` such that every size ``0..j`` was swept, up to
+    ``max(k, *sizes)``.  Sizes above *n* hold no fault sets and count as
+    swept; a sweep that skipped size 0 proves no budget (``-1``).
+
+    >>> swept_budget(4, [0, 1, 2], 28), swept_budget(2, [2], 10)
+    (2, -1)
+    >>> swept_budget(3, None, 2)
+    3
+    """
+    if sizes is None:
+        return k
+    swept = set(sizes)
+    top = max([k, *swept])
+    j = -1
+    while j < top and (j + 1 in swept or j + 1 > n):
+        j += 1
+    return j
+
+
 def verify_exhaustive(
     network: PipelineNetwork,
     k: int | None = None,
@@ -154,7 +177,8 @@ def verify_exhaustive(
     k:
         fault budget; defaults to the network's declared ``k``.
     sizes:
-        restrict to specific fault-set sizes (default ``0..k``).
+        restrict to specific fault-set sizes (default ``0..k``); the
+        certificate's ``k`` is then :func:`swept_budget`.
     fault_universe:
         restrict which nodes may fail (e.g. processors only, for the
         merged fault-free-terminal model).
@@ -175,6 +199,7 @@ def verify_exhaustive(
         if fault_universe is None
         else list(fault_universe)
     )
+    sizes = None if sizes is None else list(sizes)
     t0 = time.perf_counter()
     checked = tolerated = expanded = 0
     counterexample: tuple[Node, ...] | None = None
@@ -197,7 +222,7 @@ def verify_exhaustive(
             progress(checked)
     return VerificationCertificate(
         mode=VerificationMode.EXHAUSTIVE,
-        k=k,
+        k=swept_budget(k, sizes, len(universe)),
         checked=checked,
         tolerated=tolerated,
         counterexample=counterexample,

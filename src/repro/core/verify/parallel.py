@@ -43,9 +43,14 @@ options shape the chunks:
   ring-C16(1,2) k=3 took 1.06 s that way against 0.18 s for the default
   Gray-range sweep, and ring-C32(1,2,3) k=2 took 1.85 s against 0.08 s.
 
-Results are identical to the serial sweep (asserted in the test suite),
-modulo *which* counterexample is reported when several exist and pool
-chunks finish out of rank order.
+This is the one exhaustive engine: ``repro verify``, ``repro report``,
+the repair and search tools and the paper benchmarks all prove with it.
+Certificates are identical to the cold sweep's
+(:func:`~repro.core.verify.exhaustive.verify_exhaustive`, asserted in
+the test suite), modulo *which* counterexample is reported when several
+exist and pool chunks finish out of rank order.  In-process
+(``workers=1``), a stopping sweep reports the first intolerable set in
+revolving-door order, with ``checked`` counted up to it.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from ..hamilton import SolvePolicy, Status
 from ..model import PipelineNetwork
 from .batch import WitnessKernel, gray_index_array
 from .certificates import VerificationCertificate, VerificationMode
-from .exhaustive import iter_gray_indices
+from .exhaustive import iter_gray_indices, swept_budget
 from .shm import AttachedSweepContext, SharedSweepContext, ShmWorkerPool
 from .symmetry import (
     DEFAULT_GROUP_CAP,
@@ -325,7 +330,9 @@ def verify_exhaustive_parallel(
 ) -> VerificationCertificate:
     """The exhaustive sweep on the witness kernel: the same fault sets
     and the same certificate as
-    :func:`repro.core.verify.exhaustive.verify_exhaustive`.
+    :func:`repro.core.verify.exhaustive.verify_exhaustive`.  With
+    *sizes*, the certificate's ``k`` is the budget those sizes cover
+    (:func:`~repro.core.verify.exhaustive.swept_budget`).
 
     ``workers=None`` runs the chunks in-process below
     :data:`POOL_MIN_SETS` estimated fault sets or on one usable CPU, and
@@ -357,9 +364,9 @@ def verify_exhaustive_parallel(
         key=repr,
     )
     n = len(universe)
+    sizes = None if sizes is None else list(sizes)
     size_order = [
-        j for j in (list(sizes) if sizes is not None else range(k + 1))
-        if j <= n
+        j for j in (sizes if sizes is not None else range(k + 1)) if j <= n
     ]
     # the kernel's run-length window and per-length tables must cover
     # the widest swept fault set, which *sizes* may put above k
@@ -530,7 +537,7 @@ def verify_exhaustive_parallel(
     )
     # dispatch accounting on the caller's active span (if any): how many
     # chunks ran and how the adaptive sizing settled — the numbers needed
-    # to explain parallel overhead vs. the serial warm sweep
+    # to explain pool overhead against the in-process sweep
     annotate(
         chunks=chunks_done,
         final_chunk_size=next_size[0],
@@ -541,7 +548,7 @@ def verify_exhaustive_parallel(
     )
     return VerificationCertificate(
         mode=VerificationMode.EXHAUSTIVE,
-        k=k,
+        k=swept_budget(k, sizes, n),
         checked=checked,
         tolerated=tolerated,
         counterexample=counterexample,

@@ -1,4 +1,5 @@
-"""Symmetry-reduced exhaustive verification.
+"""Automorphism orbits of fault sets, for the kernel sweep's opt-in
+orbit path (``verify_exhaustive_parallel(..., symmetry=True)``).
 
 Fault sets related by a label-respecting automorphism have identical
 tolerance (the automorphism maps any pipeline of one survivor graph to a
@@ -9,22 +10,25 @@ group has order ``(k+1)!``, collapsing the single-fault sweep from
 ``3(k+1)`` checks to 3.
 
 The group is enumerated once (capped — graphs with astronomically many
-automorphisms fall back to the plain sweep), each fault set is
-canonicalized to the lexicographically smallest image under the group,
-and only canonical sets are decided; per-orbit multiplicities keep the
-reported ``checked``/``tolerated`` totals equal to the plain sweep's.
+automorphisms are refused), each fault set is canonicalized to the
+lexicographically smallest image under the group, and only canonical
+sets are decided; per-orbit multiplicities keep the reported
+``checked``/``tolerated`` totals equal to the plain sweep's.
+
+>>> from ..constructions import build_g1k
+>>> group = enumerate_group(build_g1k(2))
+>>> reps = orbit_representatives(build_g1k(2).graph.nodes, 2, group)
+>>> len(group), len(reps), sum(mult for _, mult in reps)
+(6, 13, 46)
 """
 
 from __future__ import annotations
 
-import time
 from typing import Hashable, Iterable
 
-from ...errors import InvalidParameterError
-from ..hamilton import SolvePolicy, SpanningPathInstance, Status, solve
+from ..hamilton import Status
 from ..model import PipelineNetwork
-from .certificates import VerificationCertificate, VerificationMode
-from .exhaustive import iter_fault_sets, iter_fault_sets_gray
+from .exhaustive import iter_fault_sets_gray
 
 Node = Hashable
 
@@ -116,67 +120,3 @@ class CanonicalVerdictCache:
 
     def put(self, fault_set: tuple, status: Status) -> None:
         self._verdicts[canonical_fault_set(fault_set, self.group)] = status
-
-
-def verify_exhaustive_symmetry_reduced(
-    network: PipelineNetwork,
-    k: int | None = None,
-    policy: SolvePolicy | None = None,
-    *,
-    group_cap: int = DEFAULT_GROUP_CAP,
-    sizes: Iterable[int] | None = None,
-) -> VerificationCertificate:
-    """Exhaustive verification checking one fault set per automorphism
-    orbit.
-
-    The certificate's ``checked``/``tolerated`` report the *full* sweep
-    totals (orbit multiplicities included), so the result is directly
-    comparable to :func:`~repro.core.verify.exhaustive.verify_exhaustive`
-    — identical verdicts, asserted in the tests.  ``solver_calls`` is
-    recorded in the certificate description.
-
-    >>> from ..constructions import build_g1k
-    >>> cert = verify_exhaustive_symmetry_reduced(build_g1k(2))
-    >>> cert.is_proof, cert.checked
-    (True, 46)
-    """
-    k = network.k if k is None else k
-    policy = policy or SolvePolicy()
-    group = enumerate_group(network, group_cap)
-    if group is None:
-        raise InvalidParameterError(
-            f"automorphism group exceeds cap {group_cap}; use the plain sweep"
-        )
-    t0 = time.perf_counter()
-    verdicts: dict[tuple, Status] = {}
-    checked = tolerated = 0
-    counterexample: tuple | None = None
-    undecided: list[tuple] = []
-    for fault_set in iter_fault_sets(network.graph.nodes, k, sizes):
-        checked += 1
-        canon = canonical_fault_set(fault_set, group)
-        status = verdicts.get(canon)
-        if status is None:
-            inst = SpanningPathInstance(network.surviving(canon))
-            status = solve(inst, policy).status
-            verdicts[canon] = status
-        if status is Status.FOUND:
-            tolerated += 1
-        elif status is Status.UNDECIDED:
-            undecided.append(fault_set)
-        elif counterexample is None:
-            counterexample = fault_set
-            break
-    return VerificationCertificate(
-        mode=VerificationMode.EXHAUSTIVE,
-        k=k,
-        checked=checked,
-        tolerated=tolerated,
-        counterexample=counterexample,
-        undecided=tuple(undecided),
-        elapsed_seconds=time.perf_counter() - t0,
-        network_description=(
-            f"{network!r} [symmetry-reduced: {len(verdicts)} solver calls "
-            f"for {checked} fault sets, |Aut| = {len(group)}]"
-        ),
-    )

@@ -109,4 +109,5 @@ class TestG2kGracefulDegradability:
         # in each of k parts must still leave a pipeline
         net = build_g2k(2)
         cert = verify_exhaustive(net, sizes=[2])
-        assert cert.is_proof
+        # size 2 alone: every set tolerated, but no proof of any budget
+        assert cert.ok and not cert.undecided

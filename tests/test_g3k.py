@@ -120,4 +120,5 @@ class TestGracefulDegradability:
         # interior-only, which the matching must accommodate
         net = build_g3k(3)
         cert = verify_exhaustive(net, sizes=[2])
-        assert cert.is_proof
+        # size 2 alone: every set tolerated, but no proof of any budget
+        assert cert.ok and not cert.undecided

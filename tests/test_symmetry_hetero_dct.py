@@ -1,21 +1,21 @@
-"""Tests for symmetry-reduced verification, heterogeneous runtime, and
-the DCT kernel."""
+"""Tests for symmetry-reduced verification (the engine's orbit path),
+heterogeneous runtime, and the DCT kernel."""
 
 import numpy as np
 import pytest
 
 from repro import build, build_g1k, build_g2k, build_g3k
-from repro.core.verify import verify_exhaustive
-from repro.core.verify.symmetry import (
-    canonical_fault_set,
-    enumerate_group,
-    verify_exhaustive_symmetry_reduced,
-)
+from repro.core.verify import verify_exhaustive, verify_exhaustive_parallel
+from repro.core.verify.symmetry import canonical_fault_set, enumerate_group
 from repro.errors import InvalidParameterError
 from repro.simulator import GracefulPipelineRuntime, ct_reconstruction_chain
 from repro.simulator.faults import scheduled_faults
 from repro.simulator.stages import BlockDCT, Quantizer
 from repro.simulator.workloads import ct_phantom
+
+
+def reduced_sweep(net, **kwargs):
+    return verify_exhaustive_parallel(net, symmetry=True, workers=1, **kwargs)
 
 
 class TestSymmetryReduction:
@@ -26,17 +26,18 @@ class TestSymmetryReduction:
     def test_matches_plain_sweep(self, factory, k):
         net = factory(k)
         plain = verify_exhaustive(net)
-        reduced = verify_exhaustive_symmetry_reduced(net)
+        reduced = reduced_sweep(net)
+        # multiplicity-weighted totals: the full sweep's counts
         assert reduced.checked == plain.checked
         assert reduced.tolerated == plain.tolerated
         assert reduced.is_proof == plain.is_proof
 
     def test_fewer_solver_calls_on_symmetric_graph(self):
         net = build_g1k(3)  # |Aut| = 24
-        cert = verify_exhaustive_symmetry_reduced(net)
-        # solver-call count is embedded in the description
-        calls = int(cert.network_description.split("symmetry-reduced: ")[1].split()[0])
-        assert calls < cert.checked / 3
+        cert = reduced_sweep(net)
+        # the orbit representative count is embedded in the description
+        reps = int(cert.network_description.split("x1: ")[1].split()[0])
+        assert cert.solver_calls <= reps < cert.checked / 3
 
     def test_group_enumeration(self):
         group = enumerate_group(build_g1k(2))
@@ -45,7 +46,7 @@ class TestSymmetryReduction:
     def test_group_cap(self):
         assert enumerate_group(build_g1k(3), cap=5) is None
         with pytest.raises(InvalidParameterError):
-            verify_exhaustive_symmetry_reduced(build_g1k(3), group_cap=5)
+            reduced_sweep(build_g1k(3), group_cap=5)
 
     def test_canonicalization_idempotent(self):
         net = build_g1k(2)
@@ -73,7 +74,7 @@ class TestSymmetryReduction:
              ("p2", "o0"), ("p2", "o1")]
         )
         net = PipelineNetwork(g, ["i0", "i1"], ["o0", "o1"], n=2, k=1)
-        cert = verify_exhaustive_symmetry_reduced(net)
+        cert = reduced_sweep(net)
         assert not cert.ok
 
 

@@ -77,6 +77,23 @@ class TestExhaustive:
         cert = verify_exhaustive(net, k=1)
         assert cert.k == 1 and cert.is_proof
 
+    def test_partial_sizes_certify_only_the_covered_budget(self):
+        net = build(3, 2)
+        # sizes 0..1 of 0..2: a proof of 1-GD, not of 2-GD
+        cert = verify_exhaustive(net, sizes=[0, 1])
+        assert (cert.checked, cert.k, cert.is_proof) == (12, 1, True)
+        # size 2 alone covers no budget and proves nothing
+        cert = verify_exhaustive(net, sizes=[2])
+        assert (cert.checked, cert.k, cert.ok) == (55, -1, True)
+        assert not cert.is_proof
+        assert "PROOF" not in cert.summary()
+
+    def test_sizes_above_the_universe_count_as_swept(self):
+        net = build(3, 2)
+        two = sorted(net.processors, key=repr)[:2]
+        cert = verify_exhaustive(net, k=3, fault_universe=two, sizes=[0, 1, 2])
+        assert (cert.checked, cert.k, cert.is_proof) == (4, 3, True)
+
     def test_progress_callback(self):
         ticks = []
         verify_exhaustive(build_g3k(2), progress=lambda c: ticks.append(c))

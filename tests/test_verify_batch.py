@@ -1,7 +1,7 @@
 """Tests for the witness kernel and the sweep that drives it: Gray-code
 rank addressing, witness-kernel soundness, the vectorized tier against
-its scalar oracle, in-process/warm certificate equivalence, and
-dispatch."""
+its scalar oracle, certificates against the cold sweep and exact
+solves, and dispatch."""
 
 from math import comb
 
@@ -9,20 +9,21 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.constructions import build, build_special
+from repro.core.constructions import build, build_asymptotic, build_special
 from repro.core.hamilton import (
     IncrementalInstanceBuilder,
     SolvePolicy,
     SpanningPathInstance,
+    Status,
     solve,
 )
 from repro.core.model import PipelineNetwork
 from repro.core.verify import (
     gray_unrank,
+    iter_fault_sets_gray,
     iter_gray_indices,
     verify_exhaustive,
     verify_exhaustive_parallel,
-    verify_exhaustive_warm,
 )
 from repro.core.verify import batch, parallel
 from repro.core.verify.batch import WitnessKernel, gray_index_array
@@ -86,6 +87,28 @@ def certs_agree(a, b):
     assert a.counterexample == b.counterexample
     assert a.undecided == b.undecided
     assert a.is_proof == b.is_proof
+
+
+def matches_cold(cold, cert):
+    """A full scan's totals and verdict are the cold sweep's (the cold
+    sweep visits each size in lexicographic order, so with several
+    intolerable sets the first one found may differ)."""
+    assert (cert.checked, cert.tolerated) == (cold.checked, cold.tolerated)
+    assert set(cert.undecided) == set(cold.undecided)
+    assert (cert.k, cert.is_proof) == (cold.k, cold.is_proof)
+    assert (cert.counterexample is None) == (cold.counterexample is None)
+
+
+def first_intolerable(net, k, sizes=None, universe=None):
+    """``(checked, fault set)`` where a stopping in-process sweep must
+    stop: the first set in revolving-door order that an exact solve
+    finds intolerable, and its 1-based position."""
+    nodes = net.graph.nodes if universe is None else universe
+    for checked, fs in enumerate(iter_fault_sets_gray(nodes, k, sizes), 1):
+        inst = SpanningPathInstance(net.surviving(fs))
+        if solve(inst, SolvePolicy()).status is Status.NONE:
+            return checked, fs
+    return None
 
 
 class TestGrayRankAddressing:
@@ -183,30 +206,29 @@ class TestBatchedSweepEquivalence:
         lambda: build_special(6, 2),
         lambda: build_special(4, 3),
     ])
-    def test_matches_warm_certificate(self, builder):
+    def test_matches_cold_certificate(self, builder):
         net = builder()
-        warm = verify_exhaustive_warm(net)
+        cold = verify_exhaustive(net)
         batched = verify_exhaustive_parallel(net, workers=1)
-        certs_agree(warm, batched)
+        matches_cold(cold, batched)
         assert batched.is_proof
 
     def test_broken_network_same_counterexample(self):
-        warm = verify_exhaustive_warm(broken_network())
-        batched = verify_exhaustive_parallel(broken_network(), workers=1)
-        certs_agree(warm, batched)
-        assert batched.counterexample is not None
-        # rank-order accounting: the sweep stops at the same set
-        assert batched.checked == warm.checked
+        net = broken_network()
+        batched = verify_exhaustive_parallel(net, workers=1)
+        # rank-order accounting: the sweep stops at the first
+        # intolerable set in revolving-door order, and counts up to it
+        assert (batched.checked, batched.counterexample) == (
+            first_intolerable(net, net.k)
+        )
 
     def test_fault_universe_and_sizes_respected(self):
         net = build_special(6, 2)
-        warm = verify_exhaustive_warm(
-            net, fault_universe=net.processors, sizes=[2]
-        )
+        cold = verify_exhaustive(net, fault_universe=net.processors, sizes=[2])
         batched = verify_exhaustive_parallel(
             net, workers=1, fault_universe=net.processors, sizes=[2]
         )
-        certs_agree(warm, batched)
+        matches_cold(cold, batched)
         assert batched.checked == comb(len(net.processors), 2)
 
     @pytest.mark.parametrize("builder,sizes", [
@@ -215,17 +237,22 @@ class TestBatchedSweepEquivalence:
         (lambda: build_special(4, 3), [4]),
     ], ids=["G(3,2)-3", "G(3,2)-0123", "G(4,3)-4"])
     @pytest.mark.parametrize("stop", [True, False], ids=["stop", "full"])
-    def test_sizes_above_k_match_the_warm_sweep(self, builder, sizes, stop):
+    def test_sizes_above_k_match_the_cold_sweep(self, builder, sizes, stop):
         # the kernel is sized for the widest swept set, not for k
         net = builder()
-        warm = verify_exhaustive_warm(
-            net, sizes=sizes, stop_on_counterexample=stop
-        )
         cert = verify_exhaustive_parallel(
             net, sizes=sizes, workers=1, stop_on_counterexample=stop
         )
-        certs_agree(warm, cert)
         assert cert.counterexample is not None
+        if stop:
+            assert (cert.checked, cert.counterexample) == (
+                first_intolerable(net, net.k, sizes)
+            )
+        else:
+            cold = verify_exhaustive(
+                net, sizes=sizes, stop_on_counterexample=False
+            )
+            matches_cold(cold, cert)
 
     def test_small_batch_rows_change_nothing(self):
         net = build_special(6, 2)
@@ -250,6 +277,27 @@ class TestBatchedSweepEquivalence:
         assert (cold.checked, cold.tolerated) == (29, 9)
         assert (cert.checked, cert.tolerated) == (cold.checked, cold.tolerated)
         assert cert.counterexample is not None
+
+
+class TestPartialSweeps:
+    def test_partial_sizes_certify_only_the_covered_budget(self):
+        # sizes 0..2 of G(14,4)'s 0..4: 407 of 24,158 fault sets
+        net = build_asymptotic(14, 4)
+        cert = verify_exhaustive_parallel(net, sizes=[0, 1, 2], workers=1)
+        assert (cert.checked, cert.k, cert.is_proof) == (407, 2, True)
+
+    def test_sweep_without_size_zero_proves_nothing(self):
+        cert = verify_exhaustive_parallel(build(3, 2), sizes=[2], workers=1)
+        assert (cert.checked, cert.k, cert.ok) == (55, -1, True)
+        assert not cert.is_proof
+
+    def test_sizes_above_the_universe_count_as_swept(self):
+        net = build(3, 2)
+        two = sorted(net.processors, key=repr)[:2]
+        cert = verify_exhaustive_parallel(
+            net, k=3, fault_universe=two, sizes=[0, 1, 2], workers=1
+        )
+        assert (cert.checked, cert.k, cert.is_proof) == (4, 3, True)
 
 
 class TestDispatchFallback:

@@ -18,8 +18,8 @@ from repro.core.hamilton import IncrementalInstanceBuilder
 from repro.core.verify import (
     SharedSweepContext,
     ShmWorkerPool,
+    verify_exhaustive,
     verify_exhaustive_parallel,
-    verify_exhaustive_warm,
 )
 from repro.core.verify.batch import gray_index_array
 from repro.core.verify.shm import (
@@ -171,7 +171,7 @@ class TestSweepCrashRecovery:
     ):
         created = self._spy_on_context(monkeypatch)
         net = build_special(4, 3)
-        warm = verify_exhaustive_warm(net)
+        cold = verify_exhaustive(net)
         cert = verify_exhaustive_parallel(
             net,
             workers=2,
@@ -180,8 +180,8 @@ class TestSweepCrashRecovery:
             _fault_spec={"die_wid": 0, "die_seq": 0},
         )
         assert cert.is_proof
-        assert cert.checked == warm.checked
-        assert cert.tolerated == warm.tolerated
+        assert cert.checked == cold.checked
+        assert cert.tolerated == cold.tolerated
         # the segment must be gone even though a worker crashed
         assert len(created) == 1
         ctx, name = created[0]

@@ -1,6 +1,7 @@
-"""Tests for the warm-started verification engine: revolving-door
-enumeration, witness adaptation, the incremental instance builder, and
-cold/warm/parallel certificate equivalence."""
+"""Tests for warm-started verification: revolving-door enumeration,
+witness adaptation, the incremental instance builder, the witness
+sweeper that decides the engine's residue, and the engine's certificates
+against the cold sweep."""
 
 from math import comb
 
@@ -23,10 +24,20 @@ from repro.core.verify import (
     orbit_representatives,
     verify_exhaustive,
     verify_exhaustive_parallel,
-    verify_exhaustive_warm,
 )
 from repro.core.verify.symmetry import enumerate_group
 from repro.core.verify.warm import WitnessSweeper
+
+
+def sweeper_counts(net, nodes, k, sizes=None):
+    """``(checked, tolerated)`` of one :class:`WitnessSweeper` deciding
+    every fault set in revolving-door order, without stopping."""
+    sweeper = WitnessSweeper(net)
+    checked = tolerated = 0
+    for fs in iter_fault_sets_gray(nodes, k, sizes):
+        checked += 1
+        tolerated += sweeper.decide(fs) is Status.FOUND
+    return checked, tolerated
 
 
 def broken_network():
@@ -148,12 +159,12 @@ class TestWarmEquivalence:
     def test_specials_certificates_match_cold(self, n, k):
         net = build_special(n, k)
         cold = verify_exhaustive(net)
-        warm = verify_exhaustive_warm(net)
-        assert (warm.is_proof, warm.checked, warm.tolerated) == (
+        par = verify_exhaustive_parallel(net, workers=1)
+        assert (par.is_proof, par.checked, par.tolerated) == (
             cold.is_proof, cold.checked, cold.tolerated
         )
-        # the tentpole claim: most fault sets never reach a solver
-        assert warm.solver_calls < cold.solver_calls / 2
+        # most fault sets never reach a solver
+        assert par.solver_calls < cold.solver_calls / 2
 
     @pytest.mark.parametrize("n,k,symmetry", PARALLEL_SPECIALS)
     def test_specials_certificates_match_parallel(self, n, k, symmetry):
@@ -181,31 +192,28 @@ class TestWarmEquivalence:
     def test_broken_network_disproved_by_all_engines(self):
         net = broken_network()
         cold = verify_exhaustive(net)
-        warm = verify_exhaustive_warm(net)
+        serial = verify_exhaustive_parallel(net, workers=1)
         par = verify_exhaustive_parallel(net, workers=2)
-        assert not cold.ok and not warm.ok and not par.ok
+        assert not cold.ok and not serial.ok and not par.ok
         # every reported counterexample must be genuinely intolerable
-        for cert in (cold, warm, par):
+        for cert in (cold, serial, par):
             inst = SpanningPathInstance(net.surviving(cert.counterexample))
             assert solve(inst, SolvePolicy()).status is not Status.FOUND
 
     def test_warm_full_scan_counts_intolerable(self):
-        cold = verify_exhaustive(broken_network(), stop_on_counterexample=False)
-        warm = verify_exhaustive_warm(
-            broken_network(), stop_on_counterexample=False
+        net = broken_network()
+        cold = verify_exhaustive(net, stop_on_counterexample=False)
+        assert sweeper_counts(net, net.graph.nodes, net.k) == (
+            cold.checked, cold.tolerated
         )
-        assert (warm.checked, warm.tolerated) == (cold.checked, cold.tolerated)
+        assert cold.tolerated < cold.checked
 
     def test_warm_fault_universe_and_sizes(self):
         net = build(3, 2)
-        cold = verify_exhaustive(
-            net, fault_universe=sorted(net.processors, key=repr), sizes=[1, 2]
-        )
-        warm = verify_exhaustive_warm(
-            net, fault_universe=sorted(net.processors, key=repr), sizes=[1, 2]
-        )
-        assert (warm.is_proof, warm.checked, warm.tolerated) == (
-            cold.is_proof, cold.checked, cold.tolerated
+        procs = sorted(net.processors, key=repr)
+        cold = verify_exhaustive(net, fault_universe=procs, sizes=[1, 2])
+        assert sweeper_counts(net, procs, 2, sizes=[1, 2]) == (
+            cold.checked, cold.tolerated
         )
 
     def test_sweeper_counters_cover_every_set(self):
